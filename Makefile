@@ -3,7 +3,7 @@
 
 DUNE ?= dune
 
-.PHONY: all build test smoke smoke-parallel smoke-parallel-steal smoke-prune smoke-check smoke-minifun smoke-supa smoke-incr smoke-serve check bench bench-smoke bench-prune-smoke bench-taint-smoke bench-taint bench-minifun bench-incr bench-serve verify clean
+.PHONY: all build test smoke smoke-parallel smoke-parallel-steal smoke-prune smoke-check smoke-minifun smoke-supa smoke-incr smoke-serve check bench bench-smoke bench-prune-smoke bench-taint-smoke bench-taint bench-minifun bench-incr bench-serve bench-e2e bench-compare verify clean
 
 all: build
 
@@ -268,6 +268,22 @@ bench-serve:
 	  ratios=[r["warm_vs_cold_qps"] for r in rows if "warm_vs_cold_qps" in r]; \
 	  assert ratios and max(ratios) > 1.0, ratios; \
 	  print("bench-serve ok:", len(eq), "equivalence cells byte-equal, warm/cold", round(max(ratios), 2))'
+
+# The end-to-end benchmark (benchmark/README.md): all four workloads at
+# seed 0, untraced, each in a child process of its own. The last stdout
+# line is the ptsto.benchmark/1 summary; every workload's record line
+# before it is what bench-compare reads, so append runs to a file:
+#   make bench-e2e >> change.jsonl
+bench-e2e:
+	$(DUNE) exec ./benchmark/ptsto_bench.exe -- --seed 0 --trace 0
+
+# A/B verdict of two run files against BENCHMARK.json's bounds, one row
+# per workload and end-to-end metric; exits 1 when a metric got worse.
+# Record PARENT and CHANGE alternately (see the compare.py docstring).
+#   make bench-compare PARENT=parent.jsonl CHANGE=change.jsonl
+bench-compare:
+	@test -n "$(PARENT)" -a -n "$(CHANGE)" || { echo "usage: make bench-compare PARENT=a.jsonl CHANGE=b.jsonl"; exit 2; }
+	python3 benchmark/compare.py $(PARENT) $(CHANGE)
 
 # Tier-1 plus the smokes in one command. bench-taint is the full
 # three-benchmark precision study — it regenerates the committed

@@ -7,7 +7,8 @@
                                             table3 table4 figure4 figure5
                                             ablation devirt minifun scale
                                             parallel prune taint incr
-                                            micro, plus *_smoke variants)
+                                            micro kernel, plus *_smoke
+                                            variants)
 
    Wall-clock numbers are machine-dependent; the harness therefore also
    reports deterministic step counts (PAG edge traversals), and all
@@ -1810,6 +1811,79 @@ let micro () =
   print_newline ()
 
 (* --------------------------------------------------------------------- *)
+(* Kernel cost per step: the Table 4 batches, allocation and throughput   *)
+(* --------------------------------------------------------------------- *)
+
+(* One pass = the 27 Table 4 batches of the end-to-end benchmark's
+   paper-clients workload (SafeCast, NullDeref, FactoryM on soot-c, bloat
+   and jython), each through a fresh engine. Per engine: the steps of a
+   pass (deterministic), the minor and promoted heap words it allocates,
+   and the fastest pass's wall time over [repeat] passes after a warm-up. *)
+let kernel_benches = [ "soot-c"; "bloat"; "jython" ]
+
+let kernel () =
+  hr "Kernel cost per step — Table 4 batches (soot-c, bloat, jython)";
+  let batches =
+    List.concat_map
+      (fun bname ->
+        let pl = Suite.pipeline bname in
+        List.map (fun (_, queries_of) -> (pl, queries_of pl)) clients)
+      kernel_benches
+  in
+  let pass engine () =
+    List.fold_left
+      (fun steps (pl, queries) ->
+        let e = Engine.create engine pl.Pipeline.pag in
+        steps + (Client.run e queries).Client.steps)
+      0 batches
+  in
+  let t =
+    Table.create
+      [
+        ("engine", Table.Left);
+        ("steps/pass", Table.Right);
+        ("minor Mwords/pass", Table.Right);
+        ("promoted Mwords/pass", Table.Right);
+        ("words/step", Table.Right);
+        ("wall s", Table.Right);
+        ("Msteps/s", Table.Right);
+      ]
+  in
+  List.iter
+    (fun engine ->
+      Timing.warm (pass engine);
+      Gc.compact ();
+      let g0 = Gc.quick_stat () in
+      let steps = pass engine () in
+      let g1 = Gc.quick_stat () in
+      let minor = g1.Gc.minor_words -. g0.Gc.minor_words in
+      let promoted = g1.Gc.promoted_words -. g0.Gc.promoted_words in
+      let _, wall = Timing.sample ~repeat:3 ~wall:snd (fun () -> Stats.time (pass engine)) in
+      let msteps = float_of_int steps /. wall /. 1e6 in
+      Table.add_row t
+        [
+          engine;
+          string_of_int steps;
+          Printf.sprintf "%.1f" (minor /. 1e6);
+          Printf.sprintf "%.1f" (promoted /. 1e6);
+          Printf.sprintf "%.1f" (minor /. float_of_int (max 1 steps));
+          Printf.sprintf "%.3f" wall;
+          Printf.sprintf "%.2f" msteps;
+        ];
+      Bm.row "kernel" ~bench:(String.concat "+" kernel_benches) ~engine
+        [
+          ("steps", Bm.Json.Int steps);
+          ("minor_words", Bm.Json.Float minor);
+          ("promoted_words", Bm.Json.Float promoted);
+          ("seconds", Bm.Json.Float wall);
+          ("msteps_per_s", Bm.Json.Float msteps);
+        ])
+    [ "norefine"; "refinepts"; "dynsum" ];
+  Table.print t;
+  Bm.flush "kernel"
+    ~note:(Printf.sprintf "min of 3 passes after a warm-up, %d cores" (Domain.recommended_domain_count ()))
+
+(* --------------------------------------------------------------------- *)
 
 let () =
   let targets =
@@ -1835,6 +1909,7 @@ let () =
       ("serve", serve);
       ("serve_smoke", serve_smoke);
       ("micro", micro);
+      ("kernel", kernel);
     ]
   in
   let args = Array.to_list Sys.argv |> List.tl |> List.filter (fun a -> a <> "--") in

@@ -36,10 +36,10 @@ let () =
   ignore (Dynsum.points_to dynsum s1);
   let steps_s1 = Budget.total_steps budget in
   let sum_s1 = Dynsum.summary_count dynsum in
-  let hits_s1 = Pts_util.Stats.get (Dynsum.stats dynsum) "cache_hits" in
+  let hits_s1 = Pts_util.Stats.get (Dynsum.stats dynsum) "summary_hits" in
   ignore (Dynsum.points_to dynsum s2);
   let steps_s2 = Budget.total_steps budget - steps_s1 in
-  let hits_s2 = Pts_util.Stats.get (Dynsum.stats dynsum) "cache_hits" - hits_s1 in
+  let hits_s2 = Pts_util.Stats.get (Dynsum.stats dynsum) "summary_hits" - hits_s1 in
   Printf.printf "query s1: %4d steps, %d summaries computed\n" steps_s1 sum_s1;
   Printf.printf "query s2: %4d steps, %d summaries total, %d cache hits\n" steps_s2
     (Dynsum.summary_count dynsum) hits_s2;

@@ -69,12 +69,6 @@ type t = {
 
 let name = "dynsum"
 
-(* Legacy counter names for the cross-query summary cache. *)
-let rename = function
-  | Trace.Summary_hit _ -> Some "cache_hits"
-  | Trace.Summary_miss _ -> Some "cache_misses"
-  | _ -> None
-
 let create ?(conf = Conf.default) ?(trace = Trace.null) pag =
   let stats = Stats.create () in
   {
@@ -82,7 +76,7 @@ let create ?(conf = Conf.default) ?(trace = Trace.null) pag =
     conf;
     budget = Budget.create ~limit:conf.Conf.budget_limit;
     stats;
-    sink = Trace.tee (Trace.counting ~rename stats) trace;
+    sink = Trace.tee (Trace.counting stats) trace;
     cache = Cache.create 4096;
     key_stacks = Cache.create 4096;
     footprints = Cache.create 4096;
@@ -346,11 +340,13 @@ let load_cache t path =
             Error "cache was built for a different version of this PAG"
           else absorb_images t images)
 
+let no_local_event = Trace.Counter { engine = name; name = "no_local_fastpath"; delta = 1 }
+
 (* Summary lookup with the paper's fast path: a node without local edges
    needs no PPTA — its only continuation is itself as a frontier tuple. *)
 let summarise t u f s =
   if not (Pag.has_local_edges t.pag u) then begin
-    Trace.emit t.sink (Trace.Counter { engine = name; name = "no_local_fastpath"; delta = 1 });
+    Trace.emit t.sink no_local_event;
     { Ppta.objs = []; tuples = [ (u, f, s) ] }
   end
   else begin
@@ -403,20 +399,12 @@ let summarise t u f s =
         summary
       | None ->
         Trace.emit t.sink (Trace.Summary_miss { engine = name; node = u });
-        (* record which nodes the derivation visits: the entry stays
-           valid across an edit burst iff none of them got dirty *)
-        let seen = Hashtbl.create 32 in
-        let fp = ref [] in
-        let trace v _ _ =
-          if not (Hashtbl.mem seen v) then begin
-            Hashtbl.add seen v ();
-            fp := v :: !fp
-          end
-        in
-        let summary = Ppta.compute t.pag t.conf t.budget ~trace u f s in
+        (* the entry stays valid across an edit burst iff none of the
+           nodes its derivation visited got dirty *)
+        let summary, fp = Ppta.compute_with_footprint t.pag t.conf t.budget u f s in
         Cache.add t.cache key summary;
         Cache.add t.key_stacks key f;
-        Cache.add t.footprints key (List.sort compare !fp);
+        Cache.add t.footprints key fp;
         summary)
   end
 
@@ -464,16 +452,6 @@ let expand t u f s =
 let stop_of_satisfy satisfy =
   Option.map (fun pred -> fun acc -> not (pred acc)) satisfy
 
-(* Per-query pruner counters -> trace counters (and thence stats). *)
-let flush_pruner sink engine = function
-  | None -> ()
-  | Some pr ->
-    let checked = Kernel.checked_count pr and pruned = Kernel.pruned_count pr in
-    if checked > 0 then
-      Trace.emit sink (Trace.Counter { engine; name = "prune_checks"; delta = checked });
-    if pruned > 0 then
-      Trace.emit sink (Trace.Counter { engine; name = "pruned_states"; delta = pruned })
-
 let points_to_in t ?satisfy v c0 =
   Trace.emit t.sink (Trace.Query_start { engine = name; node = v });
   Budget.start_query t.budget;
@@ -496,7 +474,7 @@ let points_to_in t ?satisfy v c0 =
           (Trace.Budget_exceeded { engine = name; node = v; steps = Budget.steps_this_query t.budget });
         Query.Exceeded
   in
-  flush_pruner t.sink name prune;
+  Kernel.report_pruner t.sink name prune;
   (match outcome with
   | Query.Resolved ts ->
     Trace.emit t.sink

@@ -187,6 +187,5 @@ val load_cache : t -> string -> (int, string) result
 
 val budget : t -> Budget.t
 val stats : t -> Pts_util.Stats.t
-(** Counters: ["queries"], ["exceeded"], ["cache_hits"] (=
-    ["summary_hits"]), ["cache_misses"] (= ["summary_misses"]),
-    ["no_local_fastpath"]. *)
+(** Counters: ["queries"], ["exceeded"], ["summary_hits"] and
+    ["summary_misses"] (summary cache lookups), ["no_local_fastpath"]. *)

@@ -10,9 +10,9 @@ let sym_is_load sym = sym land 1 = 0
 let rec take n = function [] -> [] | x :: tl -> if n <= 0 then [] else x :: take (n - 1) tl
 
 (* the marker only ever sits at the bottom, so a linear scan suffices *)
-let is_widened f = List.exists (fun x -> x = unknown_tail) (Hstack.to_list f)
+let is_widened f = Hstack.fold (fun w x -> w || x = unknown_tail) false f
 
-let occurrences g f = List.length (List.filter (fun x -> x = g) (Hstack.to_list f))
+let occurrences g f = Hstack.fold (fun n x -> if x = g then n + 1 else n) 0 f
 
 let push conf f g =
   if occurrences g f >= conf.Conf.max_field_repeat then None
@@ -26,12 +26,10 @@ let push conf f g =
       Some (Hstack.of_list ((g :: kept) @ [ unknown_tail ]))
 
 let pop_match f g =
-  match Hstack.peek f with
-  | Some top when top = g -> Some (Hstack.pop_exn f)
-  | Some top when top = unknown_tail -> Some f
-  | Some _ | None -> None
+  if Hstack.is_empty f then None
+  else
+    let top = Hstack.top f in
+    if top = g then Some (Hstack.pop_exn f) else if top = unknown_tail then Some f else None
 
 let may_be_empty f =
-  match Hstack.peek f with
-  | None -> true
-  | Some top -> top = unknown_tail && Hstack.depth f = 1
+  Hstack.is_empty f || (Hstack.depth f = 1 && Hstack.top f = unknown_tail)

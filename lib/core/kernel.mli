@@ -17,6 +17,11 @@
       strategy (a fresh walk, a summary cache, a static table…);
     - budget charging and the visited/seen dedup sets for both.
 
+    Both loops walk {!Pag.View} rows with plain [for] loops and top-level
+    edge handlers over a per-traversal context record, and dedup through
+    {!Pts_util.Pairset} on packed {!State_key}s, so a step allocates
+    nothing beyond the field stacks and results it produces.
+
     Engines become thin strategy wrappers, and future sharding/batching/
     parallelisation lands here once instead of four times. *)
 
@@ -37,6 +42,25 @@ module Key : sig
 end
 
 module Key_tbl : Hashtbl.S with type key = Key.t
+
+(** The same identity packed into one immediate int — the key of the
+    walks' own visited sets, so a probe neither allocates nor calls
+    polymorphic equality. The node takes the low {!node_bits} bits (just
+    enough for [node_count]), then one state bit, then the field-stack id
+    in the {!id_bits} bits left in a non-negative int. *)
+module State_key : sig
+  type layout
+
+  val layout : node_count:int -> layout
+
+  val node_bits : layout -> int
+  val id_bits : layout -> int
+
+  val pack : layout -> node:int -> state:state -> id:int -> int
+  (** Injective on its domain. @raise Invalid_argument when [node] or
+      [id] is negative or does not fit its bits — never a silent
+      collision. *)
+end
 
 (** {2 Andersen-guided pruning}
 
@@ -87,11 +111,9 @@ type pruner
 val pruner : Pag.t -> root:Pag.node -> pruner option
 (** [None] when the PAG has no oracle — pruning silently disabled. *)
 
-val pruned_count : pruner -> int
-(** States cut so far by this pruner. *)
-
-val checked_count : pruner -> int
-(** Oracle consultations so far by this pruner. *)
+val report_pruner : Trace.sink -> string -> pruner option -> unit
+(** Emit the pruner's non-zero tallies as the engine's ["prune_checks"]
+    and ["pruned_states"] counters (end of a query). *)
 
 (** {2 Context stacks (call-site ids)} *)
 
@@ -131,9 +153,12 @@ type local_result = {
   lr_frontier : (Pag.node * Pts_util.Hstack.t * state) list;
       (** states at which a global edge is about to be crossed; {!solve}
           expands them under the RRP context machine *)
-  lr_jumps : (Pag.node * Pts_util.Hstack.t * state) list;
-      (** match-edge continuations; {!solve} propagates them with the
-          calling context cleared *)
+  lr_jumps : (Pag.node list * Pts_util.Hstack.t * state) list;
+      (** match-edge continuations, grouped by the field stack and
+          direction they share (a group's node list is usually the
+          field-based index's own list, not a copy); {!solve} propagates
+          them with the calling context cleared, groups newest first and
+          each group's nodes last to first *)
 }
 
 val frontier_only : Pag.node -> Pts_util.Hstack.t -> state -> local_result

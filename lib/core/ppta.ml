@@ -14,3 +14,9 @@ let empty_summary = { objs = []; tuples = [] }
 let compute pag conf budget ?trace v0 f0 s0 =
   let r = Kernel.local_walk ?observe:trace ~policy:Kernel.exact_policy pag conf budget v0 f0 s0 in
   { objs = r.Kernel.lr_objs; tuples = r.Kernel.lr_frontier }
+
+let compute_with_footprint pag conf budget v0 f0 s0 =
+  let fp = ref [] in
+  let trace v _ _ = fp := v :: !fp in
+  let summary = compute pag conf budget ~trace v0 f0 s0 in
+  (summary, List.sort_uniq Int.compare !fp)

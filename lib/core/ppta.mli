@@ -38,3 +38,9 @@ val compute :
     on field-stack overflow), in which case the partial result must not be
     cached. [trace] observes each newly visited state (used by the Table 1
     walkthrough). *)
+
+val compute_with_footprint :
+  Pag.t -> Conf.t -> Budget.t -> Pag.node -> Pts_util.Hstack.t -> state -> summary * int list
+(** {!compute}, plus the run's derivation footprint: the distinct PAG
+    nodes it visited, ascending. A cached summary stays valid across an
+    edit burst iff no footprint node got dirty. *)

@@ -14,11 +14,6 @@ type t = {
   fb : Fieldbased.t; (* the field-based approximation match edges denote *)
 }
 
-(* Legacy counter names: the within-query memo is this engine's summary. *)
-let rename = function
-  | Trace.Summary_hit _ -> Some "memo_hits"
-  | _ -> None
-
 let create ?(conf = Conf.default) ?(trace = Trace.null) mode pag =
   let stats = Stats.create () in
   {
@@ -28,7 +23,7 @@ let create ?(conf = Conf.default) ?(trace = Trace.null) mode pag =
     conf;
     budget = Budget.create ~limit:conf.Conf.budget_limit;
     stats;
-    sink = Trace.tee (Trace.counting ~rename stats) trace;
+    sink = Trace.tee (Trace.counting stats) trace;
     fb = Fieldbased.create pag;
   }
 
@@ -36,15 +31,10 @@ let budget t = t.budget
 let stats t = t.stats
 let mode t = t.mode
 
-(* A load edge [dst = base.f], the unit of refinement. *)
-module Load_edge = struct
-  type t = int * int * int (* dst node, field, base node *)
+(* A load edge [dst = base.f], the unit of refinement, as the int pair
+   (dst * node_count + base, f) of a {!Pts_util.Pairset}. *)
+module Edge_set = Pts_util.Pairset
 
-  let equal (a : t) (b : t) = a = b
-  let hash = Hashtbl.hash
-end
-
-module Edge_tbl = Hashtbl.Make (Load_edge)
 module Memo = Kernel.Key_tbl
 
 (* One refinement pass: a kernel run whose policy treats exactly the load
@@ -56,20 +46,18 @@ module Memo = Kernel.Key_tbl
    too. This replaces the old nested formulation's "ad hoc caching within
    a query" and is what {!Trace.Summary_hit} means for this engine. *)
 let run_pass t ?prune ~flds_to_refine ~flds_seen v =
+  let n = Pag.node_count t.pag in
   let policy =
     match t.mode with
     | No_refine -> Kernel.exact_policy
     | Refine ->
       {
         Kernel.exact = false;
-        refined = (fun ~dst ~fld ~base -> Edge_tbl.mem flds_to_refine (dst, fld, base));
+        refined = (fun ~dst ~fld ~base -> Edge_set.mem flds_to_refine ((dst * n) + base) fld);
         note_match =
           (fun ~dst ~fld ~base ->
-            let edge = (dst, fld, base) in
-            if not (Edge_tbl.mem flds_seen edge) then begin
-              Edge_tbl.add flds_seen edge ();
-              Trace.emit t.sink (Trace.Match_edge { engine = t.ename; fld })
-            end);
+            if Edge_set.add flds_seen ((dst * n) + base) fld then
+              Trace.emit t.sink (Trace.Match_edge { engine = t.ename; fld }));
         match_pts = (fun f -> Fieldbased.pts_of_field t.fb f);
         match_flows = (fun f -> Fieldbased.flows_of_field t.fb f);
       }
@@ -92,20 +80,11 @@ let run_pass t ?prune ~flds_to_refine ~flds_seen v =
   in
   Kernel.solve ?prune t.pag t.budget expand v Hstack.empty
 
-let flush_pruner sink engine = function
-  | None -> ()
-  | Some pr ->
-    let checked = Kernel.checked_count pr and pruned = Kernel.pruned_count pr in
-    if checked > 0 then
-      Trace.emit sink (Trace.Counter { engine; name = "prune_checks"; delta = checked });
-    if pruned > 0 then
-      Trace.emit sink (Trace.Counter { engine; name = "pruned_states"; delta = pruned })
-
 let points_to t ?satisfy v : Query.outcome =
   Trace.emit t.sink (Trace.Query_start { engine = t.ename; node = v });
   Budget.start_query t.budget;
   let prune = if t.conf.Conf.prune then Kernel.pruner t.pag ~root:v else None in
-  let flds_to_refine = Edge_tbl.create 64 in
+  let flds_to_refine = Edge_set.create 64 in
   let outcome =
     if t.conf.Conf.prune && Pag.oracle_row_empty t.pag v then begin
       (* definite-negative fast path: nothing flows to the root at all *)
@@ -117,13 +96,13 @@ let points_to t ?satisfy v : Query.outcome =
     try
       let rec iterate pass =
         Trace.emit t.sink (Trace.Refine_pass { engine = t.ename; node = v; pass });
-        let flds_seen = Edge_tbl.create 64 in
+        let flds_seen = Edge_set.create 64 in
         let pts = run_pass t ?prune ~flds_to_refine ~flds_seen v in
         let satisfied = match satisfy with Some pred -> pred pts | None -> false in
         if satisfied then pts
-        else if t.mode = No_refine || Edge_tbl.length flds_seen = 0 then pts
+        else if t.mode = No_refine || Edge_set.length flds_seen = 0 then pts
         else begin
-          Edge_tbl.iter (fun edge () -> Edge_tbl.replace flds_to_refine edge ()) flds_seen;
+          Edge_set.iter (fun e fld -> ignore (Edge_set.add flds_to_refine e fld)) flds_seen;
           iterate (pass + 1)
         end
       in
@@ -134,7 +113,7 @@ let points_to t ?satisfy v : Query.outcome =
            { engine = t.ename; node = v; steps = Budget.steps_this_query t.budget });
       Query.Exceeded
   in
-  flush_pruner t.sink t.ename prune;
+  Kernel.report_pruner t.sink t.ename prune;
   (match outcome with
   | Query.Resolved ts ->
     Trace.emit t.sink

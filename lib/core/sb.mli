@@ -34,5 +34,5 @@ val mode : t -> mode
 
 val stats : t -> Pts_util.Stats.t
 (** Counters: ["queries"], ["exceeded"], ["passes"] (refinement passes),
-    ["memo_hits"] (= ["summary_hits"], the within-pass walk memo),
+    ["summary_hits"] / ["summary_misses"] (the within-pass walk memo),
     ["match_edges"] (field-based edges recorded for refinement). *)

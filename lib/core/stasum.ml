@@ -16,12 +16,6 @@ type t = {
 
 let name = "stasum"
 
-(* Legacy counter names for the precomputed summary table. *)
-let rename = function
-  | Trace.Summary_hit _ -> Some "online_hits"
-  | Trace.Summary_miss _ -> Some "online_misses"
-  | _ -> None
-
 let summary_count t = Tbl.length t.cache
 
 let summary_points t =
@@ -34,20 +28,6 @@ let stats t = t.stats
 let offline_steps t = Budget.total_steps t.offline_budget
 
 let key u f s = (u, Hstack.id f, Ppta.state_to_int s)
-
-(* A PPTA run that also records which nodes it visited — the entry's
-   invalidation footprint under post-freeze edits. *)
-let traced_compute t budget u f s =
-  let seen = Hashtbl.create 32 in
-  let fp = ref [] in
-  let trace v _ _ =
-    if not (Hashtbl.mem seen v) then begin
-      Hashtbl.add seen v ();
-      fp := v :: !fp
-    end
-  in
-  let summary = Ppta.compute t.pag t.conf budget ~trace u f s in
-  (summary, List.sort compare !fp)
 
 (* Frontier expansion, context-free: the summary keys a worklist could
    request next, regardless of calling context. *)
@@ -87,7 +67,7 @@ let offline t max_summaries =
     let u, f, s = Queue.pop queue in
     if Tbl.length t.cache >= max_summaries then t.truncated <- true
     else begin
-      match traced_compute t t.offline_budget u f s with
+      match Ppta.compute_with_footprint t.pag t.conf t.offline_budget u f s with
       | summary, fp ->
         Tbl.replace t.cache (key u f s) summary;
         Tbl.replace t.footprints (key u f s) fp;
@@ -112,7 +92,7 @@ let create ?(conf = Conf.default) ?(trace = Trace.null) ?(max_summaries = 300_00
       budget = Budget.create ~limit:conf.Conf.budget_limit;
       offline_budget = Budget.unlimited ();
       stats;
-      sink = Trace.tee (Trace.counting ~rename stats) trace;
+      sink = Trace.tee (Trace.counting stats) trace;
       cache = Tbl.create 4096;
       footprints = Tbl.create 4096;
       truncated = false;
@@ -131,7 +111,7 @@ let summarise t u f s =
       summary
     | None ->
       Trace.emit t.sink (Trace.Summary_miss { engine = name; node = u });
-      let summary, fp = traced_compute t t.budget u f s in
+      let summary, fp = Ppta.compute_with_footprint t.pag t.conf t.budget u f s in
       Tbl.replace t.cache (key u f s) summary;
       Tbl.replace t.footprints (key u f s) fp;
       summary
@@ -170,15 +150,6 @@ let expand t u f s =
 let stop_of_satisfy satisfy =
   Option.map (fun pred -> fun acc -> not (pred acc)) satisfy
 
-let flush_pruner sink engine = function
-  | None -> ()
-  | Some pr ->
-    let checked = Kernel.checked_count pr and pruned = Kernel.pruned_count pr in
-    if checked > 0 then
-      Trace.emit sink (Trace.Counter { engine; name = "prune_checks"; delta = checked });
-    if pruned > 0 then
-      Trace.emit sink (Trace.Counter { engine; name = "pruned_states"; delta = pruned })
-
 let points_to t ?satisfy v =
   Trace.emit t.sink (Trace.Query_start { engine = name; node = v });
   Budget.start_query t.budget;
@@ -200,7 +171,7 @@ let points_to t ?satisfy v =
           (Trace.Budget_exceeded { engine = name; node = v; steps = Budget.steps_this_query t.budget });
         Query.Exceeded
   in
-  flush_pruner t.sink name prune;
+  Kernel.report_pruner t.sink name prune;
   (match outcome with
   | Query.Resolved ts ->
     Trace.emit t.sink

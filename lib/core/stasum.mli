@@ -15,7 +15,7 @@
     uncapped offline phase the cache is total and demand queries never
     compute a summary; if the safety cap (or the field-depth bound)
     truncates the offline phase, missing keys are computed lazily and
-    counted in ["online_misses"]. *)
+    counted in ["summary_misses"]. *)
 
 type t
 
@@ -47,6 +47,5 @@ val offline_steps : t -> int
 val budget : t -> Budget.t
 
 val stats : t -> Pts_util.Stats.t
-(** Counters: ["queries"], ["exceeded"], ["online_hits"] (=
-    ["summary_hits"]), ["online_misses"] (= ["summary_misses"]),
-    ["offline_depth_aborts"]. *)
+(** Counters: ["queries"], ["exceeded"], ["summary_hits"] and
+    ["summary_misses"] (online table lookups), ["offline_depth_aborts"]. *)

@@ -31,11 +31,6 @@ type t = {
 
 let ename = "supa"
 
-(* Within-query memo of local walks, as in the SB engines. *)
-let rename = function
-  | Trace.Summary_hit _ -> Some "memo_hits"
-  | _ -> None
-
 let create ?(conf = Conf.default) ?(trace = Trace.null) pag =
   let stats = Stats.create () in
   {
@@ -43,7 +38,7 @@ let create ?(conf = Conf.default) ?(trace = Trace.null) pag =
     conf;
     budget = Budget.create ~limit:conf.Conf.budget_limit;
     stats;
-    sink = Trace.tee (Trace.counting ~rename stats) trace;
+    sink = Trace.tee (Trace.counting stats) trace;
   }
 
 let budget t = t.budget
@@ -331,14 +326,7 @@ let points_to t ?satisfy v : Query.outcome =
              { engine = ename; node = v; steps = Budget.steps_this_query t.budget });
         Query.Exceeded
   in
-  (match prune with
-  | None -> ()
-  | Some pr ->
-    let checked = Kernel.checked_count pr and pruned = Kernel.pruned_count pr in
-    if checked > 0 then
-      Trace.emit t.sink (Trace.Counter { engine = ename; name = "prune_checks"; delta = checked });
-    if pruned > 0 then
-      Trace.emit t.sink (Trace.Counter { engine = ename; name = "pruned_states"; delta = pruned }));
+  Kernel.report_pruner t.sink ename prune;
   (match outcome with
   | Query.Resolved ts ->
     Trace.emit t.sink

@@ -35,7 +35,8 @@ val budget : t -> Budget.t
 
 val stats : t -> Pts_util.Stats.t
 (** Counters: ["queries"], ["exceeded"], ["passes"] (1 = baseline,
-    2 = refinement), ["memo_hits"] (within-query walk memo),
+    2 = refinement), ["summary_hits"] / ["summary_misses"] (within-query
+    walk memo),
     ["vfg_nodes"] (value-flow nodes visited), ["strong_updates"],
     ["weak_updates"], ["refinement_subqueries"] (kernel sub-queries
     issued to refute store aliasing). *)

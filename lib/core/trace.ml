@@ -333,15 +333,66 @@ let tee a b =
         b.close ());
   }
 
-let counting ?rename stats =
+(* Slot of an event's fixed counter in a counting sink's cell cache;
+   -1 for [Counter] (named per event) and for uncounted events. *)
+let fixed_slot = function
+  | Query_start _ -> 0
+  | Summary_hit _ -> 1
+  | Summary_miss _ -> 2
+  | Refine_pass _ -> 3
+  | Match_edge _ -> 4
+  | Budget_exceeded _ -> 5
+  | Steal _ -> 6
+  | Request_latency _ -> 7
+  | Query_end _ | Queue_depth _ | Counter _ -> -1
+
+(* Each counter cell is looked up by name once per sink and then kept, so
+   the engines' per-step summary events add to an int ref instead of
+   hashing a string. Cells are still created on first use, so [stats]
+   never lists a counter that was not bumped. *)
+let counting stats =
+  let none = ref 0 in
+  let fixed = Array.make 8 none in
+  (* [Counter] names are usually literals, so a physical-equality cache
+     catches them; bounded, in case a caller builds names on the fly *)
+  let named = ref [] and n_named = ref 0 in
+  let rec cached name = function
+    | [] -> none
+    | (n, c) :: rest -> if n == name then c else cached name rest
+  in
+  let named_cell name =
+    let c = cached name !named in
+    if c != none then c
+    else begin
+      let c = Stats.cell stats name in
+      if !n_named < 16 then begin
+        named := (name, c) :: !named;
+        incr n_named
+      end;
+      c
+    end
+  in
+  (* [none] stands for "not counted", so a hot emit allocates nothing *)
+  let cell e =
+    match e with
+    | Counter { name; _ } -> named_cell name
+    | _ -> (
+      let slot = fixed_slot e in
+      if slot < 0 then none
+      else if fixed.(slot) != none then fixed.(slot)
+      else
+        match counter_name e with
+        | Some name ->
+          let c = Stats.cell stats name in
+          fixed.(slot) <- c;
+          c
+        | None -> none)
+  in
   {
     emit =
       (fun e ->
-        let d = counter_delta e in
-        (match counter_name e with Some n -> Stats.add stats n d | None -> ());
-        match rename with
-        | None -> ()
-        | Some f -> ( match f e with Some n -> Stats.add stats n d | None -> ()));
+        let c = cell e in
+        if c != none then c := !c + counter_delta e);
     close = ignore;
   }
 

@@ -5,8 +5,8 @@
     consumers the system has today:
 
     - {!null} — production hot path, zero work;
-    - {!counting} — aggregates events into a {!Pts_util.Stats} table,
-      preserving the legacy per-engine counter names via [rename];
+    - {!counting} — aggregates events into a {!Pts_util.Stats} table
+      under their canonical counter names ({!counter_name});
     - {!jsonl} / {!to_file} — one JSON object per event, for offline
       analysis of query behaviour ([ptsto --trace FILE]).
 
@@ -85,10 +85,10 @@ val close : sink -> unit
 
 val tee : sink -> sink -> sink
 
-val counting : ?rename:(event -> string option) -> Pts_util.Stats.t -> sink
-(** Aggregate events into [stats] under their canonical names; [rename]
-    may map an event to an {e additional} legacy counter name (e.g.
-    [Summary_hit] → ["cache_hits"] for DYNSUM). *)
+val counting : Pts_util.Stats.t -> sink
+(** Aggregate events into [stats] under their canonical names
+    ({!counter_name}, by {!counter_delta}). The sink looks each counter
+    cell up once and keeps it, so a hot event costs an integer add. *)
 
 val jsonl : out_channel -> sink
 (** One compact JSON object per event, newline-delimited. [close] flushes

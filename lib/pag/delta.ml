@@ -7,9 +7,27 @@
    int bookkeeping — which sides exist and what an edge means is Pag's
    business, and Pag writes both directions of every logical edge. *)
 
+module Int_tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash x = x land max_int
+end)
+
+(* Tombstones are probed once per base edge on a side with deletions, so
+   the (node, aux, other) key compares and hashes its ints directly. *)
+module Edge_tbl = Hashtbl.Make (struct
+  type t = int * int * int
+
+  let equal ((n1, a1, o1) : t) ((n2, a2, o2) : t) =
+    Int.equal n1 n2 && Int.equal a1 a2 && Int.equal o1 o2
+
+  let hash ((n, a, o) : t) = ((((n * 31) + a) * 31) + o) land max_int
+end)
+
 type side = {
-  added : (int, (int * int) list) Hashtbl.t; (* node -> (aux, other), newest first *)
-  deleted : (int * int * int, unit) Hashtbl.t; (* (node, aux, other) *)
+  added : (int * int) list Int_tbl.t; (* node -> (aux, other), in insertion order *)
+  deleted : unit Edge_tbl.t; (* (node, aux, other) *)
   mutable n_added : int;
   mutable n_deleted : int;
 }
@@ -19,21 +37,23 @@ type t = { sides : side array }
 let n_sides = 14
 
 let fresh_side () =
-  { added = Hashtbl.create 16; deleted = Hashtbl.create 16; n_added = 0; n_deleted = 0 }
+  { added = Int_tbl.create 16; deleted = Edge_tbl.create 16; n_added = 0; n_deleted = 0 }
 
 let create () = { sides = Array.init n_sides (fun _ -> fresh_side ()) }
 
 let side t i = t.sides.(i)
 
 let added_at t i node =
-  Option.value ~default:[] (Hashtbl.find_opt (side t i).added node)
+  match Int_tbl.find_opt (side t i).added node with Some l -> l | None -> []
 
 let is_added t i node aux other =
   List.exists (fun (a, o) -> a = aux && o = other) (added_at t i node)
 
+(* Appends: overlay edges are few per node and read far more often than
+   written, and readers get insertion order without reversing. *)
 let add t i node aux other =
   let s = side t i in
-  Hashtbl.replace s.added node ((aux, other) :: added_at t i node);
+  Int_tbl.replace s.added node (added_at t i node @ [ (aux, other) ]);
   s.n_added <- s.n_added + 1
 
 (* Removes one occurrence; the caller guarantees presence (checked via
@@ -46,23 +66,23 @@ let remove_added t i node aux other =
     | p :: rest -> p :: drop rest
   in
   (match drop (added_at t i node) with
-  | [] -> Hashtbl.remove s.added node
-  | l -> Hashtbl.replace s.added node l);
+  | [] -> Int_tbl.remove s.added node
+  | l -> Int_tbl.replace s.added node l);
   s.n_added <- s.n_added - 1
 
-let is_deleted t i node aux other = Hashtbl.mem (side t i).deleted (node, aux, other)
+let is_deleted t i node aux other = Edge_tbl.mem (side t i).deleted (node, aux, other)
 
 let mark_deleted t i node aux other =
   let s = side t i in
-  if not (Hashtbl.mem s.deleted (node, aux, other)) then begin
-    Hashtbl.add s.deleted (node, aux, other) ();
+  if not (Edge_tbl.mem s.deleted (node, aux, other)) then begin
+    Edge_tbl.add s.deleted (node, aux, other) ();
     s.n_deleted <- s.n_deleted + 1
   end
 
 let unmark_deleted t i node aux other =
   let s = side t i in
-  if Hashtbl.mem s.deleted (node, aux, other) then begin
-    Hashtbl.remove s.deleted (node, aux, other);
+  if Edge_tbl.mem s.deleted (node, aux, other) then begin
+    Edge_tbl.remove s.deleted (node, aux, other);
     s.n_deleted <- s.n_deleted - 1
   end
 
@@ -71,9 +91,3 @@ let has_deletions t i = (side t i).n_deleted > 0
 let added_count t = Array.fold_left (fun acc s -> acc + s.n_added) 0 t.sides
 
 let deleted_count t = Array.fold_left (fun acc s -> acc + s.n_deleted) 0 t.sides
-
-(* Insertion-order iteration: the stored list is newest-first, and the
-   traversal order feeds the kernel's worklist, so it must be a pure
-   function of the edit history (incremental and rebuilt graphs replay
-   the same history and must enqueue identically). *)
-let iter_added t i node f = List.iter (fun (a, o) -> f a o) (List.rev (added_at t i node))

@@ -18,7 +18,8 @@ val n_sides : int
 val create : unit -> t
 
 val add : t -> int -> int -> int -> int -> unit
-(** [add t side node aux other] appends an overlay edge. *)
+(** [add t side node aux other] appends an overlay edge (linear in the
+    node's overlay edges on that side). *)
 
 val remove_added : t -> int -> int -> int -> int -> unit
 (** Remove one previously-added occurrence (caller checks {!is_added}). *)
@@ -37,11 +38,9 @@ val has_deletions : t -> int -> bool
     skip the per-edge tombstone probe when nothing was ever deleted. *)
 
 val added_at : t -> int -> int -> (int * int) list
-(** Overlay edges of a node on a side, newest first. *)
-
-val iter_added : t -> int -> int -> (int -> int -> unit) -> unit
-(** Iterate a node's overlay edges in {e insertion} order ([f aux other]);
-    deterministic so replayed edit histories enqueue identically. *)
+(** Overlay edges [(aux, other)] of a node on a side, in {e insertion}
+    order — deterministic, so replayed edit histories enqueue
+    identically. Returns the stored list: no allocation. *)
 
 val added_count : t -> int
 val deleted_count : t -> int

@@ -495,7 +495,7 @@ let overlay_nodes t i n base =
         List.filter (fun x -> not (Delta.is_deleted d i n 0 x)) base
       else base
     in
-    (match Delta.added_at d i n with [] -> base | l -> base @ List.rev_map snd l)
+    (match Delta.added_at d i n with [] -> base | l -> base @ List.map snd l)
 
 let overlay_pairs t i n base =
   match t.delta with
@@ -506,7 +506,7 @@ let overlay_pairs t i n base =
         List.filter (fun (a, o) -> not (Delta.is_deleted d i n a o)) base
       else base
     in
-    (match Delta.added_at d i n with [] -> base | l -> base @ List.rev l)
+    (match Delta.added_at d i n with [] -> base | l -> base @ l)
 
 (* Adjacency accessors: CSR views (composed with the edit overlay) once
    frozen, build-side lists before. *)
@@ -627,67 +627,50 @@ let slab_of_side p = function
   | 13 -> p.p_exit_out
   | _ -> invalid_arg "Pag.slab_of_side"
 
-(* The allocation-free successor view the engines traverse: base slab
-   first (skipping tombstones only when the side has any), then overlay
-   edges in insertion order. With no delta this is exactly the old direct
-   slab loop plus one branch per call. *)
+(* The row-level view the engines traverse: a node's base-slab row (whose
+   edges need the tombstone probe only when the side has deletions), then
+   its overlay edges in insertion order. Callers walk these with plain
+   loops, so nothing on the traversal path allocates. *)
 module View = struct
-  let iter_side_nodes t i n f =
-    let slab = slab_of_side (packed t) i in
-    let lo = slab.off.(n) and hi = slab.off.(n + 1) - 1 in
-    (match t.delta with
-    | Some d when Delta.has_deletions d i ->
-      for k = lo to hi do
-        let x = slab.dst.(k) in
-        if not (Delta.is_deleted d i n 0 x) then f x
-      done
-    | _ ->
-      for k = lo to hi do
-        f slab.dst.(k)
-      done);
-    match t.delta with None -> () | Some d -> Delta.iter_added d i n (fun _ x -> f x)
+  type side = int
 
-  let iter_side_pairs t i n f =
-    let slab = slab_of_side (packed t) i in
-    let lo = slab.off.(n) and hi = slab.off.(n + 1) - 1 in
-    (match t.delta with
-    | Some d when Delta.has_deletions d i ->
-      for k = lo to hi do
-        let a = slab.aux.(k) and x = slab.dst.(k) in
-        if not (Delta.is_deleted d i n a x) then f a x
-      done
-    | _ ->
-      for k = lo to hi do
-        f slab.aux.(k) slab.dst.(k)
-      done);
-    match t.delta with None -> () | Some d -> Delta.iter_added d i n f
+  let new_in = s_new_in
+  let new_out = s_new_out
+  let assign_in = s_assign_in
+  let assign_out = s_assign_out
+  let global_in = s_global_in
+  let global_out = s_global_out
+  let load_in = s_load_in
+  let load_out = s_load_out
+  let store_in = s_store_in
+  let store_out = s_store_out
+  let entry_in = s_entry_in
+  let entry_out = s_entry_out
+  let exit_in = s_exit_in
+  let exit_out = s_exit_out
 
-  let iter_new_in t n f = iter_side_nodes t s_new_in n f
-  let iter_new_out t n f = iter_side_nodes t s_new_out n f
-  let iter_assign_in t n f = iter_side_nodes t s_assign_in n f
-  let iter_assign_out t n f = iter_side_nodes t s_assign_out n f
-  let iter_global_in t n f = iter_side_nodes t s_global_in n f
-  let iter_global_out t n f = iter_side_nodes t s_global_out n f
-  let iter_load_in t n f = iter_side_pairs t s_load_in n f
-  let iter_load_out t n f = iter_side_pairs t s_load_out n f
-  let iter_store_in t n f = iter_side_pairs t s_store_in n f
-  let iter_store_out t n f = iter_side_pairs t s_store_out n f
-  let iter_entry_in t n f = iter_side_pairs t s_entry_in n f
-  let iter_entry_out t n f = iter_side_pairs t s_entry_out n f
-  let iter_exit_in t n f = iter_side_pairs t s_exit_in n f
-  let iter_exit_out t n f = iter_side_pairs t s_exit_out n f
+  let slab t side = slab_of_side (packed t) side
 
-  exception Found
+  let overlaid t = Option.is_some t.delta
+
+  let tombstoned t side =
+    match t.delta with Some d -> Delta.has_deletions d side | None -> false
+
+  let is_deleted t side n aux other =
+    match t.delta with Some d -> Delta.is_deleted d side n aux other | None -> false
+
+  let added t side n = match t.delta with Some d -> Delta.added_at d side n | None -> []
 
   let has_new_in t n =
-    let slab = slab_of_side (packed t) s_new_in in
+    let s = (packed t).p_new_in in
     match t.delta with
-    | None -> slab.off.(n + 1) > slab.off.(n)
-    | Some _ -> (
-      try
-        iter_new_in t n (fun _ -> raise Found);
-        false
-      with Found -> true)
+    | None -> s.off.(n + 1) > s.off.(n)
+    | Some d ->
+      Delta.added_at d s_new_in n <> []
+      ||
+      let hi = s.off.(n + 1) in
+      let rec live k = k < hi && ((not (Delta.is_deleted d s_new_in n 0 s.dst.(k))) || live (k + 1)) in
+      live s.off.(n)
 end
 
 (* ------------------------- pruning oracle --------------------------- *)

@@ -124,7 +124,7 @@ val method_of_node : t -> node -> int option
 
     List views: backed by the build-side lists before {!freeze} and
     reconstructed from the CSR slabs afterwards (allocating — cold paths
-    only; hot loops should use {!packed}). *)
+    only; hot loops walk {!View} rows). *)
 
 val new_in : t -> node -> node list
 (** At a variable [v]: objects [o] with [o -new-> v]. *)
@@ -251,33 +251,56 @@ val touched_counts : t -> int * int * int
 (** [(objs, locals, globals)] with at least one incident edge — the
     reachable part of the graph, which is what Table 3 reports. *)
 
-(** {2 Successor view (base + overlay) — requires {!freeze}}
+(** {2 Row view (base + overlay) — requires {!freeze}}
 
-    The allocation-free adjacency the engines traverse: the frozen CSR
-    slab first (skipping deleted edges), then edges inserted after
-    {!freeze} in insertion order. With no pending edits this compiles
-    down to the old direct slab loop; hot paths go through here so every
-    engine transparently reads base+delta. *)
+    The allocation-free adjacency the engines traverse. A node's edges on
+    a side are its frozen CSR row [(slab t side).off.(n) ..
+    (slab t side).off.(n+1) - 1], minus the base edges {!View.is_deleted}
+    reports (probe only when {!View.tombstoned}), followed by the
+    {!View.added} overlay edges in insertion order. With no pending edits
+    ({!View.overlaid} is [false]) the row is the whole answer. Unlabelled
+    sides have an empty [aux] and probe tombstones with aux [0]. *)
 
 module View : sig
-  val iter_new_in : t -> node -> (node -> unit) -> unit
-  val iter_new_out : t -> node -> (node -> unit) -> unit
-  val iter_assign_in : t -> node -> (node -> unit) -> unit
-  val iter_assign_out : t -> node -> (node -> unit) -> unit
-  val iter_global_in : t -> node -> (node -> unit) -> unit
-  val iter_global_out : t -> node -> (node -> unit) -> unit
+  type side = private int
+  (** One label × direction, naming both its slab and its overlay. The
+      labelled sides carry the field ([load_*], [store_*]) or call site
+      ([entry_*], [exit_*]) in [aux]; [dst] is the other endpoint, e.g.
+      the base at a load destination for [load_in], the formal at an
+      actual for [entry_out]. *)
 
-  val iter_load_in : t -> node -> (fld -> node -> unit) -> unit
-  (** [f fld base] at a load destination. Labelled iterators pass the aux
-      component (field or call-site id) first, then the other endpoint. *)
+  val new_in : side
+  val new_out : side
+  val assign_in : side
+  val assign_out : side
+  val global_in : side
+  val global_out : side
+  val load_in : side
+  val load_out : side
+  val store_in : side
+  val store_out : side
+  val entry_in : side
+  val entry_out : side
+  val exit_in : side
+  val exit_out : side
 
-  val iter_load_out : t -> node -> (fld -> node -> unit) -> unit
-  val iter_store_in : t -> node -> (fld -> node -> unit) -> unit
-  val iter_store_out : t -> node -> (fld -> node -> unit) -> unit
-  val iter_entry_in : t -> node -> (site -> node -> unit) -> unit
-  val iter_entry_out : t -> node -> (site -> node -> unit) -> unit
-  val iter_exit_in : t -> node -> (site -> node -> unit) -> unit
-  val iter_exit_out : t -> node -> (site -> node -> unit) -> unit
+  val slab : t -> side -> slab
+  (** The frozen CSR slab of a side (the same record as in {!packed}). *)
+
+  val overlaid : t -> bool
+  (** Has any edit batch been applied? [false] means every row is exactly
+      its slab row. *)
+
+  val tombstoned : t -> side -> bool
+  (** Does any base edge of this side carry a tombstone? When [false] the
+      per-edge {!is_deleted} probe can be skipped. *)
+
+  val is_deleted : t -> side -> node -> int -> node -> bool
+  (** [is_deleted t side n aux other]: is this base edge deleted? *)
+
+  val added : t -> side -> node -> (int * node) list
+  (** The node's overlay edges [(aux, other)] on a side, in insertion
+      order; [[]] without an overlay. Does not allocate. *)
 
   val has_new_in : t -> node -> bool
   (** Any [new] edge into this variable in the current view? Constant
@@ -287,7 +310,8 @@ end
 (** {2 Post-freeze edits}
 
     The frozen slabs stay immutable; edits accumulate in a delta overlay
-    that every list accessor and {!View} iterator composes on the fly.
+    that every list accessor composes on the fly and {!View} exposes row
+    by row.
     Each {!apply_edits} batch bumps the {!epoch} and returns the set of
     dirty nodes so summary caches can invalidate exactly the entries
     whose derivations touched them. Edits must happen strictly between

@@ -13,8 +13,8 @@ let hash t = id t
 module Key = struct
   type t = int * int
 
-  let equal (a1, b1) (a2, b2) = a1 = a2 && b1 = b2
-  let hash (a, b) = (a * 0x1fffffff) lxor b
+  let equal ((a1, b1) : t) ((a2, b2) : t) = Int.equal a1 a2 && Int.equal b1 b2
+  let hash ((a, b) : t) = (a * 0x1fffffff) lxor b
 end
 
 module Cache = Hashtbl.Make (Key)
@@ -37,9 +37,9 @@ let depth = function Empty -> 0 | Cons c -> c.depth
 let push t x =
   let store = Domain.DLS.get store_key in
   let key = (x, id t) in
-  match Cache.find_opt store.cache key with
-  | Some s -> s
-  | None ->
+  match Cache.find store.cache key with
+  | s -> s
+  | exception Not_found ->
     let s = Cons { id = store.next_id; depth = depth t + 1; top = x; rest = t } in
     store.next_id <- store.next_id + 1;
     Cache.add store.cache key s;
@@ -53,9 +53,13 @@ let pop_exn = function
 
 let peek = function Empty -> None | Cons c -> Some c.top
 
+let top = function Empty -> invalid_arg "Hstack.top: empty stack" | Cons c -> c.top
+
 let is_empty = function Empty -> true | Cons _ -> false
 
 let rec to_list = function Empty -> [] | Cons c -> c.top :: to_list c.rest
+
+let rec fold f acc = function Empty -> acc | Cons c -> fold f (f acc c.top) c.rest
 
 let of_list l = List.fold_left push empty (List.rev l)
 

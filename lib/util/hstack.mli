@@ -33,6 +33,10 @@ val pop_exn : t -> t
 val peek : t -> int option
 (** Top element without removing it. *)
 
+val top : t -> int
+(** [peek] without the option, for hot paths that test {!is_empty}
+    first. @raise Invalid_argument on the empty stack. *)
+
 val is_empty : t -> bool
 
 val depth : t -> int
@@ -49,6 +53,10 @@ val id : t -> int
 
 val to_list : t -> int list
 (** Top first. *)
+
+val fold : ('a -> int -> 'a) -> 'a -> t -> 'a
+(** [fold f acc s] folds [f] over the elements top first, without
+    building a list. *)
 
 val of_list : int list -> t
 (** [of_list l] has [List.hd l] on top; inverse of {!to_list}. *)

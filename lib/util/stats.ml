@@ -18,8 +18,6 @@ let add t name n =
 
 let get t name = match Hashtbl.find_opt t name with Some r -> !r | None -> 0
 
-let reset t = Hashtbl.reset t
-
 let merge_into ~into src = Hashtbl.iter (fun k r -> add into k !r) src
 
 let to_list t =

@@ -14,10 +14,12 @@ val bump : t -> string -> unit
 
 val add : t -> string -> int -> unit
 
+val cell : t -> string -> int ref
+(** The counter's storage, created at 0 on first use; adding to it is
+    [add] without the name lookup. Hot emitters fetch it once. *)
+
 val get : t -> string -> int
 (** Current value, 0 if never touched. *)
-
-val reset : t -> unit
 
 val merge_into : into:t -> t -> unit
 (** Add every counter of the argument into [into]. The parallel batch

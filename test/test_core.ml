@@ -357,7 +357,7 @@ let test_dynsum_cache_reuse () =
   let steps_s2 = Budget.total_steps (Dynsum.budget dynsum) - steps_s1 in
   check Alcotest.bool "s2 cheaper than s1 thanks to reuse" true (steps_s2 < steps_s1);
   check Alcotest.bool "cache grew or stayed" true (Dynsum.summary_count dynsum >= summaries_after_s1);
-  let hits = Pts_util.Stats.get (Dynsum.stats dynsum) "cache_hits" in
+  let hits = Pts_util.Stats.get (Dynsum.stats dynsum) "summary_hits" in
   check Alcotest.bool "cache hits occurred" true (hits > 0)
 
 let test_dynsum_clear_cache () =
@@ -417,7 +417,7 @@ let test_dynsum_cache_persistence () =
         (fun a b -> check Alcotest.bool "same answers after reload" true (Query.equal_outcome a b))
         cold_answers restored_answers;
       check Alcotest.int "no recomputation" 0
-        (Pts_util.Stats.get (Dynsum.stats restored) "cache_misses");
+        (Pts_util.Stats.get (Dynsum.stats restored) "summary_misses");
       (* loading against a different PAG is refused *)
       let other = Pts_workload.Suite.pipeline "javac" in
       let wrong = Dynsum.create other.Pts_clients.Pipeline.pag in
@@ -511,7 +511,7 @@ let test_stasum_covers_queries () =
   check Alcotest.bool "not truncated" false (Stasum.truncated stasum);
   ignore (Stasum.points_to stasum (Pts_workload.Figure2.s1 pl));
   ignore (Stasum.points_to stasum (Pts_workload.Figure2.s2 pl));
-  check Alcotest.int "no online misses" 0 (Pts_util.Stats.get (Stasum.stats stasum) "online_misses")
+  check Alcotest.int "no online misses" 0 (Pts_util.Stats.get (Stasum.stats stasum) "summary_misses")
 
 let test_stasum_computes_more_summaries_than_dynsum () =
   let pl = Pts_workload.Suite.pipeline "jack" in
@@ -543,7 +543,7 @@ let test_stasum_truncation_path () =
       end)
     queries;
   check Alcotest.bool "lazy misses recorded" true
-    (Pts_util.Stats.get (Stasum.stats stasum) "online_misses" > 0)
+    (Pts_util.Stats.get (Stasum.stats stasum) "summary_misses" > 0)
 
 let test_alias_unknown_on_budget () =
   let pl = Pts_workload.Figure2.pipeline () in

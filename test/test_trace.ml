@@ -57,13 +57,21 @@ let test_counting_sink () =
   (* Query_end aggregates into nothing *)
   check Alcotest.int "no query_end counter" 0 (Stats.get stats "query_end")
 
-let test_counting_rename_is_additive () =
+(* The sink caches each counter cell after its first event: repeated
+   events keep adding to the same cell, and a counter no event reached is
+   never created. *)
+let test_counting_cells () =
   let stats = Stats.create () in
-  let rename = function Trace.Summary_hit _ -> Some "cache_hits" | _ -> None in
-  let sink = Trace.counting ~rename stats in
+  let sink = Trace.counting stats in
   List.iter (Trace.emit sink) sample_events;
-  check Alcotest.int "canonical name still bumped" 2 (Stats.get stats "summary_hits");
-  check Alcotest.int "legacy name bumped too" 2 (Stats.get stats "cache_hits")
+  List.iter (Trace.emit sink) sample_events;
+  check Alcotest.int "cached cell keeps counting" 4 (Stats.get stats "summary_hits");
+  check Alcotest.int "named counter cached too" 10 (Stats.get stats "custom");
+  check
+    Alcotest.(list string)
+    "only counters that saw an event exist"
+    [ "custom"; "exceeded"; "match_edges"; "passes"; "queries"; "summary_hits"; "summary_misses" ]
+    (List.map fst (Stats.to_list stats))
 
 let test_tee () =
   let s1 = Stats.create () in
@@ -175,7 +183,7 @@ let () =
       ( "sinks",
         [
           Alcotest.test_case "counting" `Quick test_counting_sink;
-          Alcotest.test_case "rename is additive" `Quick test_counting_rename_is_additive;
+          Alcotest.test_case "counting cells are lazy and cached" `Quick test_counting_cells;
           Alcotest.test_case "tee" `Quick test_tee;
           Alcotest.test_case "jsonl file" `Quick test_jsonl_file_sink;
           Alcotest.test_case "null" `Quick test_null_sink;
