@@ -3,7 +3,7 @@
 
 DUNE ?= dune
 
-.PHONY: all build test smoke smoke-parallel smoke-parallel-steal smoke-prune smoke-check smoke-minifun smoke-supa smoke-incr smoke-serve check bench bench-smoke bench-prune-smoke bench-taint-smoke bench-taint bench-minifun bench-incr bench-serve bench-e2e bench-compare verify clean
+.PHONY: all build test smoke smoke-parallel smoke-parallel-steal smoke-prune smoke-check smoke-minifun smoke-supa smoke-incr smoke-serve check bench bench-smoke bench-prune-smoke bench-taint-smoke bench-taint bench-minifun bench-incr bench-serve bench-e2e bench-compare bench-ab verify clean
 
 all: build
 
@@ -284,6 +284,18 @@ bench-e2e:
 bench-compare:
 	@test -n "$(PARENT)" -a -n "$(CHANGE)" || { echo "usage: make bench-compare PARENT=a.jsonl CHANGE=b.jsonl"; exit 2; }
 	python3 benchmark/compare.py $(PARENT) $(CHANGE)
+
+# Paired A/B of a parent checkout against this one on one workload:
+# PAIRS pairs on seeds SEED0.., alternating which side runs first, records
+# appended to bench-ab/parent.jsonl and change.jsonl, then compare.py.
+# Make the parent checkout with git archive (not git worktree), e.g.
+#   git archive HEAD~1 | tar -x -C ../parent
+#   make bench-ab PARENT_DIR=../parent WORKLOAD=oneshot-suite PAIRS=10 SEED0=101
+PAIRS ?= 10
+SEED0 ?= 0
+bench-ab:
+	@test -n "$(PARENT_DIR)" -a -n "$(WORKLOAD)" || { echo "usage: make bench-ab PARENT_DIR=dir WORKLOAD=name [PAIRS=10] [SEED0=0]"; exit 2; }
+	sh scripts/bench_ab.sh $(PARENT_DIR) $(WORKLOAD) $(PAIRS) $(SEED0)
 
 # Tier-1 plus the smokes in one command. bench-taint is the full
 # three-benchmark precision study — it regenerates the committed

@@ -124,17 +124,34 @@ let fingerprint pag =
 
 type snapshot = entry_image list
 
-let snapshot t : snapshot =
-  (* the cache key holds only the domain-local hash-cons id of the field
-     stack; the parallel key_stacks table provides the structural stack.
-     Keys absent from key_stacks — memoised hits against the shared base
-     tier — are deliberately skipped: a snapshot carries only summaries
-     this engine computed itself. Sorted so the marshalled bytes don't
-     depend on insertion (and hence scheduling) order. *)
+(* Snapshot order: node, then stack symbols ([] first, then
+   lexicographic), then state. Keys are unique within a snapshot, so this
+   is exactly the order [List.sort compare] gives whole images — the
+   marshalled cache bytes and the base ring's insertion order depend on
+   it — without walking the payload lists on every comparison. *)
+let rec compare_syms a b =
+  match a, b with
+  | [], [] -> 0
+  | [], _ :: _ -> -1
+  | _ :: _, [] -> 1
+  | x :: a', y :: b' -> ( match Int.compare x y with 0 -> compare_syms a' b' | c -> c)
+
+let compare_image ((n1, s1, st1, _, _, _) : entry_image) ((n2, s2, st2, _, _, _) : entry_image) =
+  match Int.compare n1 n2 with
+  | 0 -> ( match compare_syms s1 s2 with 0 -> Int.compare st1 st2 | c -> c)
+  | c -> c
+
+(* the cache key holds only the domain-local hash-cons id of the field
+   stack; the parallel key_stacks table provides the structural stack.
+   Keys absent from key_stacks — memoised hits against the shared base
+   tier — are deliberately skipped: a snapshot carries only summaries
+   this engine computed itself. Sorted so the marshalled bytes don't
+   depend on insertion (and hence scheduling) order. *)
+let snapshot_tables cache key_stacks footprints : snapshot =
   let images = ref [] in
   Cache.iter
     (fun ((node, _fid, state) as key) summary ->
-      match Cache.find_opt t.key_stacks key with
+      match Cache.find_opt key_stacks key with
       | None -> ()
       | Some stack ->
         let tuples =
@@ -142,12 +159,20 @@ let snapshot t : snapshot =
             (fun (n, f, s) -> (n, Hstack.to_list f, Ppta.state_to_int s))
             summary.Ppta.tuples
         in
-        let fp = Option.value ~default:[] (Cache.find_opt t.footprints key) in
+        let fp = Option.value ~default:[] (Cache.find_opt footprints key) in
         images :=
           ((node, Hstack.to_list stack, state, summary.Ppta.objs, tuples, fp) : entry_image)
           :: !images)
-    t.cache;
-  List.sort compare !images
+    cache;
+  List.sort compare_image !images
+
+let snapshot t = snapshot_tables t.cache t.key_stacks t.footprints
+
+(* Holds only the three tables a snapshot reads, not the engine around
+   them; forcing drops them. *)
+let deferred_snapshot t =
+  let cache = t.cache and key_stacks = t.key_stacks and footprints = t.footprints in
+  lazy (snapshot_tables cache key_stacks footprints)
 
 let state_of_int = function 1 -> Ppta.S1 | _ -> Ppta.S2
 
@@ -200,7 +225,9 @@ let snapshot_union (snaps : snapshot list) : snapshot =
     (List.iter (fun ((node, syms, state, _, _, _) as img : entry_image) ->
          Hashtbl.replace tbl (node, syms, state) img))
     snaps;
-  Hashtbl.fold (fun _ img acc -> img :: acc) tbl [] |> List.sort compare
+  Hashtbl.fold (fun _ img acc -> img :: acc) tbl [] |> List.sort compare_image
+
+let snapshot_keys (s : snapshot) = List.map (fun (node, syms, state, _, _, _) -> (node, syms, state)) s
 
 (* ---------------------------- base tier ----------------------------- *)
 

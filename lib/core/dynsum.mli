@@ -84,6 +84,13 @@ val snapshot : t -> snapshot
     exactly once. Sorted, so the marshalled bytes are independent of
     insertion (and hence scheduling) order. *)
 
+val deferred_snapshot : t -> snapshot Lazy.t
+(** {!snapshot}, taken when forced. Until then it keeps this engine's
+    summary tables reachable (nothing else of the engine); forcing
+    releases them. The engine must not derive more summaries before it
+    is forced, and it must be forced on a domain that may read the
+    engine (its own, or one that has joined it). *)
+
 val snapshot_length : snapshot -> int
 
 val absorb : t -> snapshot -> int
@@ -98,6 +105,10 @@ val snapshot_union : snapshot list -> snapshot
     [(node, stack, state)] keys; result is sorted so it does not depend
     on how the entries were distributed across the inputs. The parallel
     batch scheduler merges per-domain caches with this between rounds. *)
+
+val snapshot_keys : snapshot -> (int * int list * int) list
+(** The [(node, stack symbols, state)] key of every entry, in snapshot
+    order — the order [compare] puts the keys in. *)
 
 (** {2 Shared base tier}
 

@@ -38,7 +38,7 @@ type result = {
   cost_corr : float;
   merged_summaries : int;
   unique_summaries : int;
-  summaries : Dynsum.snapshot;
+  summaries : Dynsum.snapshot Lazy.t;
   base_hits : int;
   base_misses : int;
   base_evictions : int;
@@ -50,8 +50,10 @@ type result = {
    [Domain.join] (which is the happens-before edge the main domain reads
    it under). Field stacks inside [wr_outcomes] are hash-consed in the
    {e worker's} store and must be rebased before the main domain may use
-   them as keys (see {!Pts_util.Hstack.rebase}); [wr_snapshot] is already
-   structural and travels freely. *)
+   them as keys (see {!Pts_util.Hstack.rebase}); [wr_snapshot] is
+   structural and travels freely. It is already forced when the round is
+   exported; otherwise it is forced — on the calling domain, after join —
+   only if the final pool is. *)
 type worker_result = {
   wr_outcomes : (int * Query.outcome * int) list; (* index, outcome, steps *)
   wr_stats : Stats.t;
@@ -59,7 +61,7 @@ type worker_result = {
   wr_seconds : float;
   wr_summaries : int;
   wr_steals : int;
-  wr_snapshot : Dynsum.snapshot option;
+  wr_snapshot : Dynsum.snapshot Lazy.t option; (* DYNSUM only *)
 }
 
 (* DYNSUM is special-cased by registry name: the uniform [Engine.engine]
@@ -99,7 +101,7 @@ type feed =
   | Fixed of (int * query) list
   | Deques of { w_self : int; w_deques : (int * query) Wsdeque.t array }
 
-let run_worker ~conf ~trace_writer ~engine_name ~pag ~base ~feed () =
+let run_worker ~conf ~trace_writer ~engine_name ~pag ~base ~export ~feed () =
   let trace = Option.map Trace.buffered_jsonl trace_writer in
   let eng, dyn = build_engine ~conf ~trace engine_name pag in
   (match dyn, base with Some d, Some b -> Dynsum.set_base d b | _ -> ());
@@ -167,7 +169,13 @@ let run_worker ~conf ~trace_writer ~engine_name ~pag ~base ~feed () =
     wr_summaries =
       (match dyn with Some d -> Dynsum.new_summary_count d | None -> eng.Engine.summary_count ());
     wr_steals = !steals;
-    wr_snapshot = Option.map Dynsum.snapshot dyn;
+    wr_snapshot =
+      Option.map
+        (fun d ->
+          let s = Dynsum.deferred_snapshot d in
+          if export then ignore (Lazy.force s);
+          s)
+        dyn;
   }
 
 let run ?(conf = Conf.default) ?trace_writer ?(jobs = 1) ?(rounds = 1) ?(schedule = Steal) ?base
@@ -199,10 +207,13 @@ let run ?(conf = Conf.default) ?trace_writer ?(jobs = 1) ?(rounds = 1) ?(schedul
   let agg_stats = Stats.create () in
   let reports = ref [] in
   (* Shared summary tiers. [base] holds every summary any domain has
-     computed in a {e finished} round, read by reference from all workers
-     of later rounds (grown only here, between joins). [all_snaps]
-     remembers each per-round snapshot for the final merged pool and the
-     recomputation accounting. *)
+     computed in a {e finished, published} round, read by reference from
+     all workers of later rounds (grown only here, between joins).
+     Export is on demand: a round is published only when something will
+     read it — a later round of this call, or a tier the caller keeps.
+     [all_snaps] remembers every worker's (possibly unforced) snapshot
+     for the final pool. *)
+  let caller_tier = Option.is_some base in
   let base =
     match base with
     | Some _ as b -> if engine_name = "dynsum" then b else None
@@ -210,6 +221,7 @@ let run ?(conf = Conf.default) ?trace_writer ?(jobs = 1) ?(rounds = 1) ?(schedul
   in
   let all_snaps = ref [] in
   let produced = ref 0 in
+  let producers = ref 0 in
   let total_steals = ref 0 in
   let rounds = min rounds (max n 1) in
   let (), wall_seconds =
@@ -254,7 +266,15 @@ let run ?(conf = Conf.default) ?trace_writer ?(jobs = 1) ?(rounds = 1) ?(schedul
               in
               Array.init jobs (fun d -> Deques { w_self = d; w_deques = deques })
           in
-          let work d = run_worker ~conf ~trace_writer ~engine_name ~pag ~base ~feed:feeds.(d) in
+          (* A published round is snapshotted inside its workers. So is
+             every round with several domains: their summaries overlap,
+             so the pool is forced for [unique_summaries] anyway, and
+             snapshotting in parallel beats doing it after join. *)
+          let publish = round < rounds - 1 || caller_tier in
+          let export = publish || jobs > 1 in
+          let work d =
+            run_worker ~conf ~trace_writer ~engine_name ~pag ~base ~export ~feed:feeds.(d)
+          in
           let results =
             if jobs = 1 then [| work 0 () |]
             else Array.map Domain.join (Array.init jobs (fun d -> Domain.spawn (work d)))
@@ -263,7 +283,8 @@ let run ?(conf = Conf.default) ?trace_writer ?(jobs = 1) ?(rounds = 1) ?(schedul
             (fun d wr ->
               List.iter
                 (fun (i, o, steps) ->
-                  outcomes.(i) <- rebase_outcome o;
+                  (* jobs = 1 ran inline: its stacks are already ours *)
+                  outcomes.(i) <- (if jobs = 1 then o else rebase_outcome o);
                   actual_steps.(i) <- steps)
                 wr.wr_outcomes;
               Stats.merge_into ~into:agg_stats wr.wr_stats;
@@ -284,15 +305,28 @@ let run ?(conf = Conf.default) ?trace_writer ?(jobs = 1) ?(rounds = 1) ?(schedul
             (fun wr ->
               match wr.wr_snapshot with
               | None -> ()
-              | Some s ->
-                produced := !produced + Dynsum.snapshot_length s;
+              | Some s -> (
+                produced := !produced + wr.wr_summaries;
+                if wr.wr_summaries > 0 then incr producers;
                 all_snaps := s :: !all_snaps;
-                match base with Some b -> ignore (Dynsum.base_add b s) | None -> ())
+                match base with
+                | Some b when publish -> ignore (Dynsum.base_add b (Lazy.force s))
+                | _ -> ()))
             results
         done)
   in
   if !total_steals > 0 then Stats.add agg_stats "steals" !total_steals;
-  let summaries = Dynsum.snapshot_union (List.rev !all_snaps) in
+  (* Same input order as an eager export (rounds, then domains), so the
+     forced pool is the one every round would have published. *)
+  let summaries =
+    let snaps = List.rev !all_snaps in
+    lazy (Dynsum.snapshot_union (List.map Lazy.force snaps))
+  in
+  (* One engine's snapshot has no duplicate keys; only several producers
+     can overlap, and only then does the count need the pool. *)
+  let unique_summaries =
+    if !producers <= 1 then !produced else Dynsum.snapshot_length (Lazy.force summaries)
+  in
   let to_float a = Array.map float_of_int a in
   let base_hits, base_misses, base_evictions, base_size =
     match base with
@@ -312,7 +346,7 @@ let run ?(conf = Conf.default) ?trace_writer ?(jobs = 1) ?(rounds = 1) ?(schedul
     actual_steps;
     cost_corr = Costmodel.pearson (to_float predicted_steps) (to_float actual_steps);
     merged_summaries = !produced;
-    unique_summaries = Dynsum.snapshot_length summaries;
+    unique_summaries;
     summaries;
     base_hits;
     base_misses;

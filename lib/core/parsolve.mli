@@ -30,8 +30,17 @@
     (and re-counting) the whole pool into every domain. Merging cannot
     change answers: a PPTA summary is context-independent, so a summary
     computed under one domain's query mix is valid under any other's
-    (see DESIGN.md, "Work-stealing, the cost model, and the summary base
-    tier").
+    (see DESIGN.md, "Parallel batch evaluation and the packed PAG").
+
+    {b Export on demand.} Snapshotting, sorting and merging a round only
+    pays off if something reads the result, so a round is published
+    (snapshotted inside its workers, merged into the base) only when a
+    later round follows it or the caller passed its own [?base]. The last
+    round of a call with the internal tier is not published. With several
+    domains it is still snapshotted inside the workers, because their
+    pools overlap and {!field-unique_summaries} forces the union anyway;
+    with one domain — the whole of a one-shot check — it is not
+    snapshotted at all unless a caller forces {!field-summaries}.
 
     Hash-consed stacks never cross domains raw: snapshots carry symbol
     lists, and worker outcomes are {!Pts_util.Hstack.rebase}d into the
@@ -81,16 +90,27 @@ type result = {
           rounds (0 for other engines); minus {!field-unique_summaries}
           this is the cross-domain recomputation the base tier exists to
           kill *)
-  unique_summaries : int;  (** distinct summary keys in the final pool *)
-  summaries : Dynsum.snapshot;
-      (** the final merged pool — absorb into a fresh engine to persist *)
+  unique_summaries : int;
+      (** distinct summary keys in the final pool; equals
+          {!field-merged_summaries} without building the pool when a single
+          engine derived every summary, otherwise read off the forced pool *)
+  summaries : Dynsum.snapshot Lazy.t;
+      (** the final merged pool — every round's summaries, exported or
+          not — built only when forced; absorb into a fresh engine to
+          persist. Force it on the calling domain: a round that was not
+          snapshotted is snapshotted from its (joined) worker engine then.
+          Until forced, the summary tables of such an engine stay
+          reachable from this field — drop the result, or force it, to
+          release them *)
   base_hits : int;
       (** base-tier lookup hits; for a caller-supplied [?base] these are
           its {e lifetime} tallies (delta across the call is the caller's
           to take), for the internal tier they are per-run *)
   base_misses : int;
   base_evictions : int;
-  base_size : int;  (** resident entries when the run finished *)
+  base_size : int;
+      (** resident entries when the run finished; for the internal tier,
+          only what was published to later rounds (0 for one round) *)
 }
 
 val run :
@@ -110,14 +130,16 @@ val run :
     the smoke benches measure as scheduler overhead). [rounds] (default 1)
     splits the batch into consecutive chunks with a base-tier publish
     between chunks, so DYNSUM summaries learned early help later rounds
-    even across domains. [schedule] defaults to {!Steal}. When
+    even across domains; the last chunk publishes only into a
+    caller-owned [base]. [schedule] defaults to {!Steal}. When
     [trace_writer] is given, every worker traces through its own
     {!Trace.buffered_jsonl} sink onto the shared writer — whole lines
     only — including per-steal {!Trace.Steal} and queue-depth events.
 
     [base] supplies an external (possibly size-bounded) summary tier to
     read through and publish into, instead of the per-call tier built by
-    default; ignored for non-DYNSUM engines. The caller owns its
+    default; ignored for non-DYNSUM engines. Every round, the last
+    included, is exported into it. The caller owns its
     freshness: the tier must describe the PAG as currently edited
     ({!Dynsum.base_invalidate} after every {!Pag.apply_edits}) and must
     not be touched while the run is in flight. The serve daemon uses

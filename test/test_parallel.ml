@@ -96,7 +96,7 @@ let test_steal_accounting () =
     (r.Parsolve.unique_summaries <= r.Parsolve.merged_summaries);
   Alcotest.(check int) "final pool length matches the count"
     r.Parsolve.unique_summaries
-    (Dynsum.snapshot_length r.Parsolve.summaries);
+    (Dynsum.snapshot_length (Lazy.force r.Parsolve.summaries));
   let c = r.Parsolve.cost_corr in
   Alcotest.(check bool) "correlation in range or undefined" true
     (Float.is_nan c || (c >= -1.000001 && c <= 1.000001))
@@ -141,7 +141,7 @@ let test_snapshot_union_is_idempotent () =
     (Dynsum.snapshot_length (Dynsum.snapshot_union [ s ]))
     (Dynsum.snapshot_length (Dynsum.snapshot_union [ s; s; s ]))
 
-(* ------------------ cache bytes are schedule-independent ------------------ *)
+(* ----------------- export matrix: eager and deferred rounds ---------------- *)
 
 (* Absorb a snapshot into a fresh engine and serialise its cache;
    snapshots are sorted and base-tier memos are never exported, so the
@@ -158,25 +158,95 @@ let save_bytes snapshot =
   Sys.remove path;
   b
 
-let test_cache_bytes_schedule_independent () =
+(* Every (jobs, rounds, schedule, tier) cell must agree with one
+   sequential DYNSUM engine: same outcomes, and a final pool — built on
+   demand from exported snapshots plus unexported engines — whose cache
+   bytes are the sequential engine's. A caller-owned tier is exported
+   every round, so it must end up holding exactly the pool's keys. *)
+let sequential =
+  lazy
+    (let pl = Lazy.force pl in
+     let d = Dynsum.create ~conf pl.Pipeline.pag in
+     let outs = List.map (fun q -> Dynsum.points_to d q.Client.q_node) (Lazy.force queries) in
+     (outs, save_bytes (Dynsum.snapshot d)))
+
+let test_export_cell ~jobs ~rounds ~schedule ~caller_tier () =
   let pl = Lazy.force pl in
-  let seqd = Dynsum.create ~conf pl.Pipeline.pag in
-  List.iter (fun q -> ignore (Dynsum.points_to seqd q.Client.q_node)) (Lazy.force queries);
-  let seq_bytes = save_bytes (Dynsum.snapshot seqd) in
-  Alcotest.(check bool) "sequential cache is non-trivial" true (String.length seq_bytes > 0);
-  List.iter
-    (fun schedule ->
-      let name = Parsolve.schedule_name schedule in
-      let r =
-        Parsolve.run ~conf ~jobs:2 ~rounds:2 ~schedule ~engine:"dynsum" pl.Pipeline.pag
-          (qarr ())
-      in
-      let b = save_bytes r.Parsolve.summaries in
-      Alcotest.(check int) (name ^ ": cache size matches sequential")
-        (String.length seq_bytes) (String.length b);
-      Alcotest.(check bool) (name ^ ": cache bytes identical to sequential") true
-        (String.equal seq_bytes b))
-    [ Parsolve.Static; Parsolve.Steal ]
+  let expected, seq_bytes = Lazy.force sequential in
+  let tier = if caller_tier then Some (Dynsum.base_create ~capacity:0 ()) else None in
+  let r =
+    Parsolve.run ~conf ~jobs ~rounds ~schedule ?base:tier ~engine:"dynsum" pl.Pipeline.pag
+      (qarr ())
+  in
+  List.iteri
+    (fun i expect ->
+      if not (Query.equal_outcome expect r.Parsolve.outcomes.(i)) then
+        Alcotest.failf "query %d differs from sequential" i)
+    expected;
+  if jobs = 1 && rounds = 1 then
+    Alcotest.(check bool) "one engine: pool not built" false (Lazy.is_val r.Parsolve.summaries);
+  let pool = Lazy.force r.Parsolve.summaries in
+  Alcotest.(check bool) "summaries were derived" true (r.Parsolve.merged_summaries > 0);
+  Alcotest.(check int) "unique = pool length" r.Parsolve.unique_summaries
+    (Dynsum.snapshot_length pool);
+  Alcotest.(check bool) "unique <= merged" true
+    (r.Parsolve.unique_summaries <= r.Parsolve.merged_summaries);
+  Alcotest.(check bool) "pool bytes = sequential cache bytes" true
+    (String.equal seq_bytes (save_bytes pool));
+  match tier with
+  | None ->
+    if rounds = 1 then
+      Alcotest.(check int) "one round publishes nothing to the internal tier" 0
+        r.Parsolve.base_size
+  | Some b ->
+    Alcotest.(check int) "caller tier grew by unique" r.Parsolve.unique_summaries
+      (Dynsum.base_length b);
+    Alcotest.(check int) "base_size reports the caller tier" (Dynsum.base_length b)
+      r.Parsolve.base_size
+
+let export_matrix =
+  List.concat_map
+    (fun jobs ->
+      List.concat_map
+        (fun rounds ->
+          List.concat_map
+            (fun schedule ->
+              List.map
+                (fun caller_tier ->
+                  Alcotest.test_case
+                    (Printf.sprintf "jobs=%d rounds=%d %s %s" jobs rounds
+                       (Parsolve.schedule_name schedule)
+                       (if caller_tier then "caller tier" else "internal tier"))
+                    `Quick
+                    (test_export_cell ~jobs ~rounds ~schedule ~caller_tier))
+                [ false; true ])
+            [ Parsolve.Static; Parsolve.Steal ])
+        [ 1; 2 ])
+    [ 1; 2; 4 ]
+
+(* ------------------------ snapshot order is [compare] ---------------------- *)
+
+(* Snapshots sort with a key comparator; it must reproduce the order
+   polymorphic [compare] gave whole images, or saved cache bytes and base
+   insertion order drift. Keys are unique, so sorted-and-unique keys are
+   exactly that order. *)
+let test_snapshot_order_is_compare () =
+  let pl = Lazy.force pl in
+  let pag = pl.Pipeline.pag in
+  let qs = Lazy.force queries in
+  let in_compare_order what s =
+    let keys = Dynsum.snapshot_keys s in
+    Alcotest.(check bool) (what ^ " has several entries") true (List.length keys > 1);
+    Alcotest.(check bool) (what ^ " keys sorted by compare, no duplicates") true
+      (keys = List.sort_uniq compare keys)
+  in
+  let whole = Dynsum.create ~conf pag in
+  List.iter (fun q -> ignore (Dynsum.points_to whole q.Client.q_node)) qs;
+  in_compare_order "jack snapshot" (Dynsum.snapshot whole);
+  let d1 = Dynsum.create ~conf pag and d2 = Dynsum.create ~conf pag in
+  List.iteri (fun i q -> if i mod 2 = 0 then ignore (Dynsum.points_to d1 q.Client.q_node)) qs;
+  List.iteri (fun i q -> if i mod 3 = 0 then ignore (Dynsum.points_to d2 q.Client.q_node)) qs;
+  in_compare_order "two-engine union" (Dynsum.snapshot_union [ Dynsum.snapshot d1; Dynsum.snapshot d2 ])
 
 (* ------------------------- trace line integrity --------------------------- *)
 
@@ -256,9 +326,9 @@ let () =
         [
           Alcotest.test_case "merge preserves answers" `Quick test_snapshot_merge_preserves_answers;
           Alcotest.test_case "union idempotent" `Quick test_snapshot_union_is_idempotent;
-          Alcotest.test_case "cache bytes schedule-independent" `Quick
-            test_cache_bytes_schedule_independent;
+          Alcotest.test_case "order is compare" `Quick test_snapshot_order_is_compare;
         ] );
+      ("export", export_matrix);
       ("trace", [ Alcotest.test_case "whole lines only" `Quick test_parallel_trace_whole_lines ]);
       ("hstack", [ Alcotest.test_case "rebase across domains" `Quick test_hstack_rebase_across_domains ]);
       ("validation", [ Alcotest.test_case "argument checks" `Quick test_run_validations ]);
