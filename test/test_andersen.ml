@@ -137,6 +137,125 @@ let test_soundness_vs_demand_on_suite () =
       end)
     queries
 
+(* ---------------------- cycles without collapse ---------------------- *)
+
+(* Every member of a copy cycle ends with the union of the members' sets,
+   both in the solver's answer and in the installed oracle row. *)
+let check_cycle pl members expect =
+  let pag = pl.Pts_clients.Pipeline.pag in
+  List.iter
+    (fun v ->
+      check (Alcotest.list Alcotest.string) (v ^ " holds the union") expect
+        (site_classes pl (pts_of pl "Main.main" v));
+      let node = Pts_clients.Pipeline.find_local pl ~meth_pretty:"Main.main" ~var:v in
+      let row = Pts_util.Bitset.create () in
+      Array.iteri
+        (fun site _ -> if Pag.oracle_mem pag node site then ignore (Pts_util.Bitset.add row site))
+        pl.Pts_clients.Pipeline.prog.Ir.allocs;
+      check (Alcotest.list Alcotest.string) (v ^ " oracle row") expect (site_classes pl row))
+    members
+
+let test_copy_cycle () =
+  let pl =
+    pipeline
+      {|
+class A {} class B {}
+class Main {
+  static void main() {
+    Object x = new A();
+    Object y = new B();
+    x = y;
+    y = x;
+  }
+}|}
+  in
+  check_cycle pl [ "x"; "y" ] [ "A"; "B" ]
+
+let test_late_edge_into_cycle () =
+  (* x -> y -> z -> x is a cycle from the start; the exit edge of B.m into
+     y appears only once the receiver's set grows through the box *)
+  let pl =
+    pipeline
+      {|
+class A { Object m() { return new A(); } }
+class B extends A { Object m() { return new C(); } }
+class C {} class D {}
+class Box { Object v; Box() {} void put(Object x) { this.v = x; } Object take() { return this.v; } }
+class Main {
+  static void main() {
+    Object x = new D();
+    Object y = x;
+    Object z = y;
+    x = z;
+    Box box = new Box();
+    box.put(new B());
+    A recv = (A) box.take();
+    y = recv.m();
+  }
+}|}
+  in
+  check_cycle pl [ "x"; "y"; "z" ] [ "C"; "D" ]
+
+(* ----------------------- the pinned suite solution ----------------------- *)
+
+(* One digest per suite program over everything the solver hands on: every
+   PAG node's oracle row, the call-graph edges (sorted, since insertion
+   order follows discovery order), the recursive call sites, the reachable
+   methods and the PAG's edge counts. *)
+let solution_digest (pl : Pts_clients.Pipeline.t) =
+  let pag = pl.Pts_clients.Pipeline.pag in
+  let prog = pl.Pts_clients.Pipeline.prog in
+  let b = Buffer.create 65536 in
+  let n_sites = Array.length prog.Ir.allocs in
+  for n = 0 to Pag.node_count pag - 1 do
+    if not (Pag.oracle_row_empty pag n) then begin
+      Printf.bprintf b "n%d:" n;
+      for site = 0 to n_sites - 1 do
+        if Pag.oracle_mem pag n site then Printf.bprintf b " %d" site
+      done;
+      Buffer.add_char b '\n'
+    end
+  done;
+  let edges = ref [] in
+  Callgraph.iter_edges pl.Pts_clients.Pipeline.callgraph (fun ~site ~caller ~target ->
+      edges := (site, caller, target) :: !edges);
+  List.iter
+    (fun (s, c, t) -> Printf.bprintf b "e %d %d %d\n" s c t)
+    (List.sort compare !edges);
+  Array.iteri
+    (fun site _ -> if Pag.is_recursive_site pag site then Printf.bprintf b "r %d\n" site)
+    prog.Ir.calls;
+  List.iter
+    (fun m -> Printf.bprintf b "m %d\n" m)
+    (Pts_andersen.Solver.reachable_methods pl.Pts_clients.Pipeline.solver);
+  let c = Pag.edge_counts pag in
+  Printf.bprintf b "c %d %d %d %d %d %d %d\n" c.Pag.n_new c.Pag.n_assign c.Pag.n_load c.Pag.n_store
+    c.Pag.n_entry c.Pag.n_exit c.Pag.n_assign_global;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let pinned_digests =
+  [
+    ("jack", "06c46645bf3a9158a315442729c35175");
+    ("javac", "d053156eb6ab515558b9b123c4b63d4b");
+    ("soot-c", "b922f03307576c709976826cb905b903");
+    ("bloat", "49f2aca7316e2dccf00883b691ed3efc");
+    ("jython", "e554b4a6d8c8e8ec0ee358ce104d13ff");
+    ("avrora", "6ed221df72141e4d58916b734aaca8c5");
+    ("batik", "d22e8ed388234f5e521a4a89cacb4f01");
+    ("luindex", "8f1328d6ae4716d43f04bdad28c38bc0");
+    ("xalan", "6e77acf0a814b61ff5ea300fcf348de1");
+  ]
+
+let test_pinned_solution () =
+  List.iter
+    (fun name ->
+      let pl = Pts_workload.Suite.pipeline name in
+      check Alcotest.bool (name ^ " has an oracle") true
+        (Pag.has_oracle pl.Pts_clients.Pipeline.pag);
+      check Alcotest.string (name ^ " solution digest") (List.assoc name pinned_digests)
+        (solution_digest pl))
+    Pts_workload.Suite.names
+
 let () =
   Alcotest.run "andersen"
     [
@@ -151,5 +270,8 @@ let () =
           Alcotest.test_case "unreachable skipped" `Quick test_unreachable_methods_skipped;
           Alcotest.test_case "on-the-fly dispatch" `Quick test_on_the_fly_dispatch_growth;
           Alcotest.test_case "soundness oracle" `Quick test_soundness_vs_demand_on_suite;
+          Alcotest.test_case "copy cycle" `Quick test_copy_cycle;
+          Alcotest.test_case "late edge into a cycle" `Quick test_late_edge_into_cycle;
+          Alcotest.test_case "pinned suite solution" `Quick test_pinned_solution;
         ] );
     ]
