@@ -1,143 +1,157 @@
 module Bitset = Pts_util.Bitset
+module Pairset = Pts_util.Pairset
 module Stats = Pts_util.Stats
-module Digraph = Pts_util.Digraph
 
-type t = {
+type t = { prog : Ir.program; pag : Pag.t; cg : Callgraph.t; reachable : bool array; stats : Stats.t }
+
+(* The fixpoint's working state, dropped once the solution is installed in
+   the PAG. Units are PAG nodes first, then (object, field) cells created
+   on demand. Unit [u]'s points-to and delta rows are the [stride] words
+   from [u * stride] of the two slabs; every growable array is indexed by
+   unit id. *)
+type state = {
   prog : Ir.program;
   pag : Pag.t;
   cg : Callgraph.t;
   n_fields : int;
-  (* Units are PAG nodes first, then dynamically-created (object, field)
-     cells. All growable arrays are indexed by unit id. *)
-  mutable pts : Bitset.t array;
-  mutable delta : Bitset.t array; (* not-yet-propagated frontier per unit *)
+  stride : int;
+  mutable pts : int array;
+  mutable delta : int array; (* not-yet-propagated frontier per unit *)
+  scratch : int array; (* the drained delta row being propagated *)
   mutable dyn_copy : int list array;
-  mutable uf : int array; (* union-find over collapsed copy-SCCs *)
-  mutable members : int list array; (* units merged into this rep *)
+  mutable queued : Bytes.t;
   mutable n_units : int;
-  copy_dedup : (int * int, unit) Hashtbl.t;
+  copy_dedup : Pairset.t;
   cells : (int, int) Hashtbl.t; (* site * n_fields + fld -> unit *)
-  virtuals_at : (int, Builder.call_desc list ref) Hashtbl.t;
-  connected : (int * int, unit) Hashtbl.t; (* (site, target method) *)
+  virtuals : Builder.call_desc list array; (* per PAG node: calls it receives *)
+  connected : Pairset.t; (* (site, target method) *)
   reachable : bool array;
   queue : int Queue.t;
-  mutable queued : Bytes.t;
-  stats : Stats.t;
+  mutable propagations : int;
+  mutable copy_edges : int;
 }
 
-let rec find t u =
-  let p = t.uf.(u) in
-  if p = u then u
-  else begin
-    let r = find t p in
-    t.uf.(u) <- r;
-    r
-  end
+let extend a used n fill =
+  let b = Array.make n fill in
+  Array.blit a 0 b 0 used;
+  b
 
-let grow_units t needed =
-  let cap = Array.length t.pts in
+let grow_units st needed =
+  let cap = Bytes.length st.queued in
   if needed > cap then begin
     let ncap = max (2 * cap) needed in
-    let pts = Array.make ncap (Bitset.create ~capacity:1 ()) in
-    Array.blit t.pts 0 pts 0 t.n_units;
-    let delta = Array.make ncap (Bitset.create ~capacity:1 ()) in
-    Array.blit t.delta 0 delta 0 t.n_units;
-    for i = t.n_units to ncap - 1 do
-      pts.(i) <- Bitset.create ~capacity:16 ();
-      delta.(i) <- Bitset.create ~capacity:16 ()
-    done;
-    t.pts <- pts;
-    t.delta <- delta;
-    let dyn = Array.make ncap [] in
-    Array.blit t.dyn_copy 0 dyn 0 t.n_units;
-    t.dyn_copy <- dyn;
-    let uf = Array.init ncap (fun i -> i) in
-    Array.blit t.uf 0 uf 0 t.n_units;
-    t.uf <- uf;
-    let members = Array.init ncap (fun i -> [ i ]) in
-    Array.blit t.members 0 members 0 t.n_units;
-    t.members <- members;
+    st.pts <- extend st.pts (st.n_units * st.stride) (ncap * st.stride) 0;
+    st.delta <- extend st.delta (st.n_units * st.stride) (ncap * st.stride) 0;
+    st.dyn_copy <- extend st.dyn_copy st.n_units ncap [];
     let queued = Bytes.make ncap '\000' in
-    Bytes.blit t.queued 0 queued 0 (Bytes.length t.queued);
-    t.queued <- queued
+    Bytes.blit st.queued 0 queued 0 cap;
+    st.queued <- queued
   end
 
-let push t u =
-  if Bytes.get t.queued u = '\000' then begin
-    Bytes.set t.queued u '\001';
-    Queue.add u t.queue
+let push st u =
+  if Bytes.get st.queued u = '\000' then begin
+    Bytes.set st.queued u '\001';
+    Queue.add u st.queue
   end
+
+(* Difference propagation's one primitive: add the row at [src.(sbase ..)]
+   to unit [w]'s points-to row, record the genuinely new bits in [w]'s
+   delta, and queue [w] if anything was new. *)
+let flow st (src : int array) sbase w =
+  let stride = st.stride and pts = st.pts and delta = st.delta in
+  let wb = w * stride in
+  let changed = ref false in
+  for i = 0 to stride - 1 do
+    let fresh = src.(sbase + i) land lnot pts.(wb + i) in
+    if fresh <> 0 then begin
+      pts.(wb + i) <- pts.(wb + i) lor fresh;
+      delta.(wb + i) <- delta.(wb + i) lor fresh;
+      changed := true
+    end
+  done;
+  if !changed then push st w
 
 (* Re-arm a node whose edge set just grew (a call edge connected after its
    points-to set was already propagated): mark everything it holds as
    frontier again so the fresh edges see the full set, and requeue. *)
-let reseed t u =
-  let r = find t u in
-  if not (Bitset.is_empty t.pts.(r)) then begin
-    ignore (Bitset.union_into ~dst:t.delta.(r) t.pts.(r));
-    push t r
-  end
+let reseed st u =
+  let pts = st.pts and delta = st.delta in
+  let b = u * st.stride in
+  let any = ref false in
+  for i = b to b + st.stride - 1 do
+    let p = pts.(i) in
+    if p <> 0 then begin
+      delta.(i) <- delta.(i) lor p;
+      any := true
+    end
+  done;
+  if !any then push st u
 
-let cell t site fld =
-  let key = (site * t.n_fields) + fld in
-  match Hashtbl.find_opt t.cells key with
-  | Some u -> u
-  | None ->
-    let u = t.n_units in
-    grow_units t (u + 1);
-    t.n_units <- u + 1;
-    Hashtbl.add t.cells key u;
-    Stats.bump t.stats "cells";
+let cell st site fld =
+  let key = (site * st.n_fields) + fld in
+  match Hashtbl.find st.cells key with
+  | u -> u
+  | exception Not_found ->
+    let u = st.n_units in
+    grow_units st (u + 1);
+    st.n_units <- u + 1;
+    Hashtbl.add st.cells key u;
     u
 
-let add_copy t src dst =
-  if not (Hashtbl.mem t.copy_dedup (src, dst)) then begin
-    Hashtbl.add t.copy_dedup (src, dst) ();
-    let s = find t src and d = find t dst in
-    t.dyn_copy.(s) <- dst :: t.dyn_copy.(s);
-    Stats.bump t.stats "copy_edges";
-    if s <> d && Bitset.diff_union_into ~dst:t.pts.(d) ~delta:t.delta.(d) t.pts.(s) then push t d
+let add_copy st src dst =
+  if Pairset.add st.copy_dedup src dst then begin
+    st.dyn_copy.(src) <- dst :: st.dyn_copy.(src);
+    st.copy_edges <- st.copy_edges + 1;
+    if src <> dst then flow st st.pts (src * st.stride) dst
   end
 
-let seed_obj t site dst_node =
-  let obj = Pag.obj_node t.pag site in
-  ignore (Bitset.add t.pts.(find t obj) site);
-  let d = find t dst_node in
-  if Bitset.add t.pts.(d) site then begin
-    ignore (Bitset.add t.delta.(d) site);
-    push t d
+(* Set bit [site] in the row at [base]; [true] iff it was clear. *)
+let set_bit (slab : int array) base site =
+  let i = base + (site / Sys.int_size) and bit = 1 lsl (site mod Sys.int_size) in
+  if slab.(i) land bit <> 0 then false
+  else begin
+    slab.(i) <- slab.(i) lor bit;
+    true
+  end
+
+let seed_obj st site dst_node =
+  ignore (set_bit st.pts (Pag.obj_node st.pag site * st.stride) site);
+  let d = dst_node * st.stride in
+  if set_bit st.pts d site then begin
+    ignore (set_bit st.delta d site);
+    push st dst_node
   end
 
 (* Connect one call edge: wire PAG entry/exit edges, record the call-graph
    edge, activate the callee, and reseed every populated source endpoint so
    the new edges see the whole set, not just future deltas. *)
-let rec connect t (cd : Builder.call_desc) target_mid =
-  if not (Hashtbl.mem t.connected (cd.Builder.cd_site, target_mid)) then begin
-    Hashtbl.add t.connected (cd.Builder.cd_site, target_mid) ();
-    activate t target_mid;
-    let target = t.prog.Ir.methods.(target_mid) in
-    Builder.connect_call t.pag cd ~target;
-    ignore (Callgraph.add_edge t.cg ~site:cd.Builder.cd_site ~caller:cd.Builder.cd_caller ~target:target_mid);
-    (match Builder.receiver_node t.pag cd with Some r -> reseed t r | None -> ());
+let rec connect st (cd : Builder.call_desc) target_mid =
+  if Pairset.add st.connected cd.Builder.cd_site target_mid then begin
+    activate st target_mid;
+    let target = st.prog.Ir.methods.(target_mid) in
+    Builder.connect_call st.pag cd ~target;
+    ignore
+      (Callgraph.add_edge st.cg ~site:cd.Builder.cd_site ~caller:cd.Builder.cd_caller
+         ~target:target_mid);
+    (match Builder.receiver_node st.pag cd with Some r -> reseed st r | None -> ());
     (match cd.Builder.cd_kind with
-    | Ir.Ctor { recv; _ } -> reseed t (Pag.local_node t.pag ~meth:cd.Builder.cd_caller ~var:recv)
+    | Ir.Ctor { recv; _ } -> reseed st (Pag.local_node st.pag ~meth:cd.Builder.cd_caller ~var:recv)
     | Ir.Virtual _ | Ir.Static _ -> ());
-    List.iter (fun a -> reseed t a) cd.Builder.cd_args;
-    List.iter (fun r -> reseed t r) (Builder.return_nodes t.pag target)
+    List.iter (reseed st) cd.Builder.cd_args;
+    List.iter (reseed st) (Builder.return_nodes st.pag target)
   end
 
-and activate t mid =
-  if not t.reachable.(mid) then begin
-    t.reachable.(mid) <- true;
-    Stats.bump t.stats "reachable_methods";
-    let descs = Builder.add_method_body t.pag mid in
+and activate st mid =
+  if not st.reachable.(mid) then begin
+    st.reachable.(mid) <- true;
+    let descs = Builder.add_method_body st.pag mid in
     (* seed allocations and reseed accessed globals *)
-    let m = t.prog.Ir.methods.(mid) in
+    let m = st.prog.Ir.methods.(mid) in
     List.iter
       (fun instr ->
         match instr with
-        | Ir.Alloc { dst; site; _ } -> seed_obj t site (Pag.local_node t.pag ~meth:mid ~var:dst)
-        | Ir.Load_global { glb; _ } -> reseed t (Pag.global_node t.pag glb)
+        | Ir.Alloc { dst; site; _ } -> seed_obj st site (Pag.local_node st.pag ~meth:mid ~var:dst)
+        | Ir.Load_global { glb; _ } -> reseed st (Pag.global_node st.pag glb)
         | Ir.Move _ | Ir.Load _ | Ir.Store _ | Ir.Store_global _ | Ir.Call _ | Ir.Return _
         | Ir.Cast_move _ ->
           ())
@@ -145,152 +159,131 @@ and activate t mid =
     List.iter
       (fun (cd : Builder.call_desc) ->
         match cd.Builder.cd_kind with
-        | Ir.Static { target } -> connect t cd target.Types.ms_id
-        | Ir.Ctor { ctor; _ } -> connect t cd ctor.Types.ms_id
+        | Ir.Static { target } -> connect st cd target.Types.ms_id
+        | Ir.Ctor { ctor; _ } -> connect st cd ctor.Types.ms_id
         | Ir.Virtual _ -> (
-          match Builder.receiver_node t.pag cd with
+          match Builder.receiver_node st.pag cd with
           | Some recv ->
-            (match Hashtbl.find_opt t.virtuals_at recv with
-            | Some r -> r := cd :: !r
-            | None -> Hashtbl.add t.virtuals_at recv (ref [ cd ]));
-            reseed t recv
+            st.virtuals.(recv) <- cd :: st.virtuals.(recv);
+            reseed st recv
           | None -> assert false))
       descs
   end
 
-let dispatch t recv_node site_id cd =
-  ignore recv_node;
-  let ctable = t.prog.Ir.ctable in
-  let cls = (t.prog.Ir.allocs.(site_id)).Ir.alloc_cls in
+let dispatch st site_id cd =
+  let ctable = st.prog.Ir.ctable in
+  let cls = st.prog.Ir.allocs.(site_id).Ir.alloc_cls in
   if cls <> Types.null_class ctable then begin
     match cd.Builder.cd_kind with
     | Ir.Virtual { mname; _ } -> (
       match Types.lookup_method ctable cls mname with
-      | Some target -> connect t cd target.Types.ms_id
+      | Some target -> connect st cd target.Types.ms_id
       | None -> () (* receiver class cannot answer: statically dead combination *))
     | Ir.Static _ | Ir.Ctor _ -> ()
   end
 
-(* Difference propagation: drain the unit's delta and push only that along
-   every outgoing copy edge; complex constraints (loads/stores/dispatch)
-   likewise fire only for the frontier sites. A merged class propagates
-   once through the union of its members' edges. *)
-let process t u0 =
-  let u = find t u0 in
-  let d = t.delta.(u) in
-  if not (Bitset.is_empty d) then begin
-    t.delta.(u) <- Bitset.create ~capacity:16 ();
-    Stats.bump t.stats "propagations";
-    let propagate dst =
-      let w = find t dst in
-      if w <> u && Bitset.diff_union_into ~dst:t.pts.(w) ~delta:t.delta.(w) d then push t w
-    in
-    List.iter
-      (fun m ->
-        if m < Pag.node_count t.pag then begin
-          (* static copy edges from the PAG *)
-          List.iter propagate (Pag.assign_out t.pag m);
-          List.iter propagate (Pag.global_out t.pag m);
-          List.iter (fun (_, w) -> propagate w) (Pag.entry_out t.pag m);
-          List.iter (fun (_, w) -> propagate w) (Pag.exit_out t.pag m);
-          (* complex constraints: m as a load/store base or virtual receiver *)
-          let loads = Pag.load_out t.pag m in
-          let stores = Pag.store_in t.pag m in
-          let virtuals =
-            match Hashtbl.find_opt t.virtuals_at m with Some r -> !r | None -> []
-          in
-          if loads <> [] || stores <> [] || virtuals <> [] then
-            Bitset.iter d (fun o ->
-                List.iter (fun (f, dst) -> add_copy t (cell t o f) dst) loads;
-                List.iter (fun (f, src) -> add_copy t src (cell t o f)) stores;
-                List.iter (fun cd -> dispatch t m o cd) virtuals)
-        end)
-      t.members.(u);
-    (* dynamic copy edges — fetched after the members loop so edges added
-       by the complex constraints above are included *)
-    List.iter propagate t.dyn_copy.(u)
-  end
+(* Closure-free walks of the unit's edge lists: copy edges get the drained
+   delta in [st.scratch]; complex constraints fire once per frontier site. *)
+let rec flow_nodes st = function
+  | [] -> ()
+  | w :: rest ->
+    flow st st.scratch 0 w;
+    flow_nodes st rest
 
-(* Online cycle collapse: SCCs of the current copy graph (static assign-like
-   edges plus dynamic ones) become single units. Periodically invoked from
-   the run loop; stale queue entries are harmless since [process] works on
-   representatives and skips empty deltas. *)
-let collapse t =
-  let g = Digraph.create ~capacity:t.n_units () in
-  Digraph.ensure_node g (t.n_units - 1);
-  let n_nodes = Pag.node_count t.pag in
-  for u = 0 to t.n_units - 1 do
-    if find t u = u then begin
-      let edge dst =
-        let w = find t dst in
-        if w <> u then Digraph.add_edge g u w
-      in
-      List.iter
-        (fun m ->
-          if m < n_nodes then begin
-            List.iter edge (Pag.assign_out t.pag m);
-            List.iter edge (Pag.global_out t.pag m);
-            List.iter (fun (_, w) -> edge w) (Pag.entry_out t.pag m);
-            List.iter (fun (_, w) -> edge w) (Pag.exit_out t.pag m)
-          end)
-        t.members.(u);
-      List.iter edge t.dyn_copy.(u)
+let rec flow_pairs st = function
+  | [] -> ()
+  | (_, w) :: rest ->
+    flow st st.scratch 0 w;
+    flow_pairs st rest
+
+let rec fire_loads st o = function
+  | [] -> ()
+  | (f, dst) :: rest ->
+    add_copy st (cell st o f) dst;
+    fire_loads st o rest
+
+let rec fire_stores st o = function
+  | [] -> ()
+  | (f, src) :: rest ->
+    add_copy st src (cell st o f);
+    fire_stores st o rest
+
+let rec fire_virtuals st o = function
+  | [] -> ()
+  | cd :: rest ->
+    dispatch st o cd;
+    fire_virtuals st o rest
+
+(* Difference propagation: drain the unit's delta into the scratch row and
+   push only that along every outgoing copy edge; complex constraints
+   (loads/stores/dispatch) likewise fire only for the frontier sites. *)
+let process st u =
+  let delta = st.delta and scratch = st.scratch in
+  let b = u * st.stride in
+  let any = ref false in
+  for i = 0 to st.stride - 1 do
+    let d = delta.(b + i) in
+    scratch.(i) <- d;
+    if d <> 0 then begin
+      delta.(b + i) <- 0;
+      any := true
     end
   done;
-  let comp, count = Digraph.scc g in
-  let group = Array.make count [] in
-  for u = 0 to t.n_units - 1 do
-    if find t u = u then group.(comp.(u)) <- u :: group.(comp.(u))
-  done;
-  Array.iter
-    (fun us ->
-      match us with
-      | [] | [ _ ] -> ()
-      | r :: rest ->
-        List.iter
-          (fun u ->
-            t.uf.(u) <- r;
-            ignore (Bitset.union_into ~dst:t.pts.(r) t.pts.(u));
-            ignore (Bitset.union_into ~dst:t.delta.(r) t.delta.(u));
-            t.dyn_copy.(r) <- List.rev_append t.dyn_copy.(u) t.dyn_copy.(r);
-            t.dyn_copy.(u) <- [];
-            t.members.(r) <- List.rev_append t.members.(u) t.members.(r);
-            t.members.(u) <- [];
-            Stats.bump t.stats "collapsed_units")
-          rest;
-        (* everything the class holds must flow through the merged edge
-           set at least once *)
-        ignore (Bitset.union_into ~dst:t.delta.(r) t.pts.(r));
-        push t r)
-    group;
-  Stats.bump t.stats "collapse_passes"
-
-let collapse_interval = 2048
+  if !any then begin
+    st.propagations <- st.propagations + 1;
+    if u < Pag.node_count st.pag then begin
+      (* static copy edges from the PAG *)
+      flow_nodes st (Pag.assign_out st.pag u);
+      flow_nodes st (Pag.global_out st.pag u);
+      flow_pairs st (Pag.entry_out st.pag u);
+      flow_pairs st (Pag.exit_out st.pag u);
+      (* complex constraints: u as a load/store base or virtual receiver *)
+      let loads = Pag.load_out st.pag u and stores = Pag.store_in st.pag u in
+      let virtuals = st.virtuals.(u) in
+      if loads <> [] || stores <> [] || virtuals <> [] then
+        for i = 0 to st.stride - 1 do
+          let w = ref scratch.(i) in
+          while !w <> 0 do
+            let o = (i * Sys.int_size) + Bitset.lowest_bit !w in
+            fire_loads st o loads;
+            fire_stores st o stores;
+            fire_virtuals st o virtuals;
+            w := !w land (!w - 1)
+          done
+        done
+    end;
+    (* dynamic copy edges — fetched after the complex constraints so edges
+       they added are included *)
+    flow_nodes st st.dyn_copy.(u)
+  end
 
 let run ?roots (prog : Ir.program) =
   let pag = Pag.create prog in
   let cg = Callgraph.create prog in
   let n_nodes = Pag.node_count pag in
-  let t =
+  let stride = Pag.oracle_row_words pag in
+  let cap = max n_nodes 1 in
+  let st =
     {
       prog;
       pag;
       cg;
       n_fields = max 1 (Types.field_count prog.Ir.ctable);
-      pts = Array.init (max n_nodes 1) (fun _ -> Bitset.create ~capacity:16 ());
-      delta = Array.init (max n_nodes 1) (fun _ -> Bitset.create ~capacity:16 ());
-      dyn_copy = Array.make (max n_nodes 1) [];
-      uf = Array.init (max n_nodes 1) (fun i -> i);
-      members = Array.init (max n_nodes 1) (fun i -> [ i ]);
+      stride;
+      pts = Array.make (cap * stride) 0;
+      delta = Array.make (cap * stride) 0;
+      scratch = Array.make stride 0;
+      dyn_copy = Array.make cap [];
+      queued = Bytes.make cap '\000';
       n_units = n_nodes;
-      copy_dedup = Hashtbl.create 4096;
+      copy_dedup = Pairset.create 4096;
       cells = Hashtbl.create 1024;
-      virtuals_at = Hashtbl.create 256;
-      connected = Hashtbl.create 1024;
+      virtuals = Array.make cap [];
+      connected = Pairset.create 1024;
       reachable = Array.make (Array.length prog.Ir.methods) false;
       queue = Queue.create ();
-      queued = Bytes.make (max n_nodes 1) '\000';
-      stats = Stats.create ();
+      propagations = 0;
+      copy_edges = 0;
     }
   in
   let roots =
@@ -301,42 +294,41 @@ let run ?roots (prog : Ir.program) =
       | Some e -> [ e ]
       | None -> List.init (Array.length prog.Ir.methods) (fun i -> i))
   in
-  List.iter (fun r -> activate t r) roots;
-  let processed = ref 0 in
-  while not (Queue.is_empty t.queue) do
-    let u = Queue.pop t.queue in
-    Bytes.set t.queued u '\000';
-    process t u;
-    incr processed;
-    if !processed mod collapse_interval = 0 then collapse t
+  List.iter (activate st) roots;
+  while not (Queue.is_empty st.queue) do
+    let u = Queue.pop st.queue in
+    Bytes.set st.queued u '\000';
+    process st u
   done;
-  let sccs = Callgraph.mark_recursion t.cg t.pag in
-  Stats.add t.stats "recursive_sccs" sccs;
-  Stats.add t.stats "cg_edges" (Callgraph.edge_count t.cg);
-  (* flatten the union-find so post-run lookups are one indirection *)
-  for i = 0 to t.n_units - 1 do
-    ignore (find t i)
-  done;
-  (* install the solution as the demand kernel's pruning oracle, then seal *)
-  Pag.set_oracle t.pag (fun n -> t.pts.(find t n));
-  Pag.freeze t.pag;
-  t
+  let stats = Stats.create () in
+  Stats.add stats "propagations" st.propagations;
+  Stats.add stats "copy_edges" st.copy_edges;
+  Stats.add stats "cells" (st.n_units - n_nodes);
+  Stats.add stats "reachable_methods"
+    (Array.fold_left (fun acc r -> if r then acc + 1 else acc) 0 st.reachable);
+  Stats.add stats "recursive_sccs" (Callgraph.mark_recursion cg pag);
+  Stats.add stats "cg_edges" (Callgraph.edge_count cg);
+  (* hand the PAG-node prefix of the slab over as the demand kernel's
+     pruning oracle, then seal *)
+  Pag.set_oracle pag ~stride (Array.sub st.pts 0 (n_nodes * stride));
+  Pag.freeze pag;
+  { prog; pag; cg; reachable = st.reachable; stats }
 
-let pag t = t.pag
-let callgraph t = t.cg
-let program t = t.prog
+let pag (t : t) = t.pag
+let callgraph (t : t) = t.cg
+let program (t : t) = t.prog
 
-let points_to t node =
-  if node < Array.length t.pts && node < t.n_units then t.pts.(find t node)
+let points_to (t : t) node =
+  if node >= 0 && node < Pag.node_count t.pag then Pag.oracle_row t.pag node
   else Bitset.create ~capacity:1 ()
 
-let points_to_var t ~meth ~var = points_to t (Pag.local_node t.pag ~meth ~var)
+let points_to_var (t : t) ~meth ~var = points_to t (Pag.local_node t.pag ~meth ~var)
 
-let is_reachable t mid = mid >= 0 && mid < Array.length t.reachable && t.reachable.(mid)
+let is_reachable (t : t) mid = mid >= 0 && mid < Array.length t.reachable && t.reachable.(mid)
 
-let reachable_methods t =
+let reachable_methods (t : t) =
   let acc = ref [] in
   Array.iteri (fun i r -> if r then acc := i :: !acc) t.reachable;
   List.rev !acc
 
-let stats t = t.stats
+let stats (t : t) = t.stats

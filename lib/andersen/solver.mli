@@ -13,16 +13,24 @@
     - its solution is a sound over-approximation of every context-sensitive
       demand answer, which the test-suite uses as an oracle.
 
-    The fixpoint runs with {e difference propagation} — each unit keeps a
-    delta bitset of not-yet-propagated sites and only the delta flows
-    along copy edges — and {e online cycle collapse}: copy-edge SCCs
-    detected periodically during solving are merged into single units via
-    union-find, so a cycle's set is propagated once instead of once per
-    member.
+    The fixpoint runs with {e difference propagation}: each unit (a PAG
+    node, or an (object, field) cell created on demand) keeps a delta row
+    of not-yet-propagated sites, and only the delta flows along copy edges.
+    Points-to and delta rows are fixed-width rows of
+    [ceil (sites / Sys.int_size)] words in two flat [int array] slabs, so
+    propagation is a word loop over a scratch copy of the drained delta
+    row, and loads, stores and dispatch walk its set bits. There is no
+    cycle elimination: a copy cycle's members each propagate the same
+    delta once per trip round the cycle, which on this reproduction's
+    programs costs less than finding the cycles did (EXPERIMENTS.md,
+    "Andersen without cycle collapse").
 
     [run] returns a frozen PAG with recursion-collapsed call sites and
     the solution installed as the PAG's pruning oracle
-    (see {!Pag.set_oracle}), ready for the demand-driven analyses. *)
+    (see {!Pag.set_oracle}), ready for the demand-driven analyses. The
+    returned [t] keeps only the program, the PAG, the call graph, the
+    reachable methods and the counters; the solver's working state is
+    dropped. *)
 
 type t
 
@@ -35,8 +43,9 @@ val callgraph : t -> Callgraph.t
 val program : t -> Ir.program
 
 val points_to : t -> Pag.node -> Pts_util.Bitset.t
-(** Allocation-site ids that may flow to the node. The returned set is the
-    solver's own — do not mutate. *)
+(** Allocation-site ids that may flow to the node: a fresh set built from
+    the node's oracle row (see {!Pag.oracle_row}), empty for an id that is
+    not a PAG node. *)
 
 val points_to_var : t -> meth:int -> var:int -> Pts_util.Bitset.t
 
@@ -46,6 +55,6 @@ val is_reachable : t -> int -> bool
 val reachable_methods : t -> int list
 
 val stats : t -> Pts_util.Stats.t
-(** Counters: ["propagations"], ["copy_edges"], ["cells"],
-    ["reachable_methods"], ["cg_edges"], ["recursive_sccs"],
-    ["collapsed_units"], ["collapse_passes"]. *)
+(** Counters, written once when the fixpoint ends: ["propagations"]
+    (delta rows drained), ["copy_edges"] (load/store copy edges added),
+    ["cells"], ["reachable_methods"], ["cg_edges"], ["recursive_sccs"]. *)

@@ -677,20 +677,34 @@ end
 
 let oracle_word_bits = Sys.int_size
 
-let set_oracle t row_of =
+let oracle_row_words t = max 1 ((t.n_nodes - t.obj_base + oracle_word_bits - 1) / oracle_word_bits)
+
+let set_oracle t ~stride slab =
   if t.oracle_stride <> 0 then invalid_arg "Pag.set_oracle: oracle already installed";
+  if stride <> oracle_row_words t then invalid_arg "Pag.set_oracle: wrong stride";
   let n_sites = t.n_nodes - t.obj_base in
-  let stride = max 1 ((n_sites + oracle_word_bits - 1) / oracle_word_bits) in
-  let slab = Array.make (max 1 (t.n_nodes * stride)) 0 in
+  if Array.length slab <> t.n_nodes * stride then invalid_arg "Pag.set_oracle: wrong length";
+  (* only the last word of a row can hold bits past the last site *)
+  let tail = n_sites - ((stride - 1) * oracle_word_bits) in
+  let beyond = if tail >= oracle_word_bits then 0 else -1 lsl tail in
   for n = 0 to t.n_nodes - 1 do
-    let base = n * stride in
-    Pts_util.Bitset.iter (row_of n) (fun site ->
-        if site < 0 || site >= n_sites then invalid_arg "Pag.set_oracle: site out of range";
-        let w = base + (site / oracle_word_bits) in
-        slab.(w) <- slab.(w) lor (1 lsl (site mod oracle_word_bits)))
+    if slab.((n * stride) + stride - 1) land beyond <> 0 then
+      invalid_arg "Pag.set_oracle: site out of range"
   done;
   t.oracle <- slab;
   t.oracle_stride <- stride
+
+let oracle_row t n =
+  let s = t.oracle_stride in
+  let row = Pts_util.Bitset.create ~capacity:(s * oracle_word_bits) () in
+  for i = 0 to s - 1 do
+    let w = ref t.oracle.((n * s) + i) in
+    while !w <> 0 do
+      ignore (Pts_util.Bitset.add row ((i * oracle_word_bits) + Pts_util.Bitset.lowest_bit !w));
+      w := !w land (!w - 1)
+    done
+  done;
+  row
 
 let has_oracle t = t.oracle_stride > 0
 
@@ -737,8 +751,7 @@ let oracle_singleton t n =
         let w = t.oracle.(base + i) in
         if w <> 0 then begin
           if !found >= 0 || w land (w - 1) <> 0 then raise Exit;
-          let rec bit_index b j = if b land 1 <> 0 then j else bit_index (b lsr 1) (j + 1) in
-          found := (i * oracle_word_bits) + bit_index w 0
+          found := (i * oracle_word_bits) + Pts_util.Bitset.lowest_bit w
         end
       done;
       (* A summary object is one abstract object for many runtime objects:

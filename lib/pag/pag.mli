@@ -192,10 +192,25 @@ val has_global_out : t -> node -> bool
     Every accessor answers conservatively (prune nothing) when no oracle
     is installed, so hand-built and CHA-only graphs keep working. *)
 
-val set_oracle : t -> (node -> Pts_util.Bitset.t) -> unit
-(** [set_oracle t row_of] packs [row_of n] for every node into the flat
-    slab. Call at most once. @raise Invalid_argument on a second call or
-    if a row contains an id that is not an allocation site. *)
+val oracle_row_words : t -> int
+(** Words per oracle row: [ceil (sites / Sys.int_size)], at least 1. *)
+
+val set_oracle : t -> stride:int -> int array -> unit
+(** [set_oracle t ~stride slab] installs [slab] as the oracle, without
+    copying: row [n] is words [n * stride .. n * stride + stride - 1], bit
+    [b] of word [i] standing for allocation site [i * Sys.int_size + b].
+    [stride] must be {!oracle_row_words} and [slab] exactly
+    {!node_count}[ * stride] words long; the caller hands the slab over
+    and must not write it again. Call at most once.
+    @raise Invalid_argument on a second call, a wrong [stride] or length,
+    or a bit at or beyond the number of allocation sites in a row's last
+    word. *)
+
+val oracle_row : t -> node -> Pts_util.Bitset.t
+(** A fresh set holding the node's installed row (edit invalidation is
+    ignored: this is the row as installed); empty when no oracle is
+    installed. [Solver.points_to] answers with it, so callers may mutate
+    the result. *)
 
 val has_oracle : t -> bool
 

@@ -28,8 +28,16 @@ let add t x =
   end
   else false
 
+(* Index of the highest non-zero word, -1 when empty. Growth follows it,
+   not the source's capacity: a [dst] sized by [Array.length src.words]
+   would inherit the source's trailing zero words, and under doubling
+   those compound from one union to the next. *)
+let rec top_from words i = if i < 0 || words.(i) <> 0 then i else top_from words (i - 1)
+
+let top_word t = top_from t.words (Array.length t.words - 1)
+
 let union_into ~dst src =
-  let n = Array.length src.words in
+  let n = top_word src + 1 in
   if n > 0 then ensure dst (n - 1);
   let changed = ref false in
   for i = 0 to n - 1 do
@@ -42,7 +50,7 @@ let union_into ~dst src =
   !changed
 
 let diff_union_into ~dst ~delta src =
-  let n = Array.length src.words in
+  let n = top_word src + 1 in
   if n > 0 then begin
     ensure dst (n - 1);
     ensure delta (n - 1)
@@ -87,14 +95,39 @@ let cardinal t = Array.fold_left (fun acc w -> acc + popcount w) 0 t.words
 
 let is_empty t = Array.for_all (fun w -> w = 0) t.words
 
+let lowest_bit w =
+  let n = ref 0 and w = ref w in
+  if !w land 0xFFFFFFFF = 0 then begin
+    n := 32;
+    w := !w lsr 32
+  end;
+  if !w land 0xFFFF = 0 then begin
+    n := !n + 16;
+    w := !w lsr 16
+  end;
+  if !w land 0xFF = 0 then begin
+    n := !n + 8;
+    w := !w lsr 8
+  end;
+  if !w land 0xF = 0 then begin
+    n := !n + 4;
+    w := !w lsr 4
+  end;
+  if !w land 0x3 = 0 then begin
+    n := !n + 2;
+    w := !w lsr 2
+  end;
+  if !w land 0x1 = 0 then !n + 1 else !n
+
 let iter t f =
-  Array.iteri
-    (fun i w ->
-      if w <> 0 then
-        for b = 0 to bits_per_word - 1 do
-          if w land (1 lsl b) <> 0 then f ((i * bits_per_word) + b)
-        done)
-    t.words
+  let words = t.words in
+  for i = 0 to Array.length words - 1 do
+    let w = ref words.(i) in
+    while !w <> 0 do
+      f ((i * bits_per_word) + lowest_bit !w);
+      w := !w land (!w - 1)
+    done
+  done
 
 let fold t ~init ~f =
   let acc = ref init in

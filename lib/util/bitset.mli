@@ -14,7 +14,8 @@ val add : t -> int -> bool
 
 val union_into : dst:t -> t -> bool
 (** [union_into ~dst src] adds all of [src] to [dst]; returns [true] iff
-    [dst] changed. *)
+    [dst] changed. [dst] grows only as far as [src]'s highest element,
+    never to [src]'s capacity. *)
 
 val diff_union_into : dst:t -> delta:t -> t -> bool
 (** [diff_union_into ~dst ~delta src] adds all of [src] to [dst] and
@@ -37,7 +38,11 @@ val cardinal : t -> int
 val is_empty : t -> bool
 
 val iter : t -> (int -> unit) -> unit
-(** Ascending order. *)
+(** Ascending order; visits set bits only, one {!lowest_bit} per element. *)
+
+val lowest_bit : int -> int
+(** [lowest_bit w] is the index of the lowest set bit of the non-zero word
+    [w]: the step of every set-bit walk over a word slab. *)
 
 val fold : t -> init:'a -> f:('a -> int -> 'a) -> 'a
 

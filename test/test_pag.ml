@@ -229,6 +229,45 @@ let test_nonrecursive_not_marked () =
       check Alcotest.bool "figure2 has no recursion" false (Pag.is_recursive_site pag cs.Ir.cs_id))
     prog.Ir.calls
 
+(* ---------------------- oracle handoff (set_oracle) ---------------------- *)
+
+(* [set_oracle] takes a slab of [node_count * stride] words as is; it must
+   refuse any slab whose geometry or contents break the row contract, and
+   leave the graph without an oracle when it does. *)
+let rejects name f =
+  match f () with
+  | exception Invalid_argument _ -> ()
+  | () -> Alcotest.fail (name ^ " accepted")
+
+let test_set_oracle_contract () =
+  let pag = Pag.create (Lazy.force fig2).Pts_clients.Pipeline.prog in
+  let sites = Array.length (Pag.program pag).Ir.allocs in
+  let stride = Pag.oracle_row_words pag in
+  check Alcotest.int "row width" ((sites + Sys.int_size - 1) / Sys.int_size) stride;
+  let n = Pag.node_count pag in
+  check Alcotest.bool "last word partly used" true (sites mod Sys.int_size <> 0);
+  rejects "wrong stride" (fun () ->
+      Pag.set_oracle pag ~stride:(stride + 1) (Array.make (n * (stride + 1)) 0));
+  rejects "short slab" (fun () -> Pag.set_oracle pag ~stride (Array.make ((n * stride) - 1) 0));
+  rejects "long slab" (fun () -> Pag.set_oracle pag ~stride (Array.make ((n + 1) * stride) 0));
+  (* the last word of row [r], and the bit of site [s] within it *)
+  let last r = (r * stride) + stride - 1 and bit s = 1 lsl (s mod Sys.int_size) in
+  let slab = Array.make (n * stride) 0 in
+  slab.(last (n - 1)) <- bit sites;
+  rejects "site = sites in the last row" (fun () -> Pag.set_oracle pag ~stride slab);
+  slab.(last (n - 1)) <- 0;
+  slab.(last 0) <- 1 lsl (Sys.int_size - 1);
+  rejects "top bit of the first row" (fun () -> Pag.set_oracle pag ~stride slab);
+  slab.(last 0) <- 0;
+  check Alcotest.bool "no oracle after rejections" false (Pag.has_oracle pag);
+  slab.(last (n - 1)) <- bit (sites - 1);
+  Pag.set_oracle pag ~stride slab;
+  check Alcotest.bool "installed" true (Pag.has_oracle pag);
+  check (Alcotest.list Alcotest.int) "row read back" [ sites - 1 ]
+    (Pts_util.Bitset.to_list (Pag.oracle_row pag (n - 1)));
+  check Alcotest.bool "other rows empty" true (Pag.oracle_row_empty pag 0);
+  rejects "second install" (fun () -> Pag.set_oracle pag ~stride (Array.make (n * stride) 0))
+
 let () =
   Alcotest.run "pag"
     [
@@ -243,6 +282,7 @@ let () =
           Alcotest.test_case "locality" `Quick test_locality_metric;
           Alcotest.test_case "frozen" `Quick test_frozen_rejects_mutation;
           Alcotest.test_case "packed CSR" `Quick test_packed_csr_consistency;
+          Alcotest.test_case "set_oracle contract" `Quick test_set_oracle_contract;
         ] );
       ( "callgraph",
         [

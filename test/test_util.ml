@@ -180,6 +180,40 @@ let test_bitset_model =
       List.iter (fun x -> ignore (Bitset.add s x)) xs;
       Bitset.to_list s = List.sort_uniq compare xs)
 
+(* Sources built with a large capacity carry long runs of zero words past
+   their highest element. Unions and iteration must agree with the model,
+   and the destination must grow only as far as the elements go, not to
+   the source's capacity. *)
+let tailed xs =
+  let s = Bitset.create ~capacity:4096 () in
+  List.iter (fun x -> ignore (Bitset.add s x)) xs;
+  s
+
+let test_bitset_tail_model =
+  QCheck.Test.make ~name:"unions over zero-tailed sources agree with a set model" ~count:100
+    QCheck.(pair (list (int_bound 300)) (list (int_bound 300)))
+    (fun (xs, ys) ->
+      let a = tailed xs and b = tailed ys in
+      let dst = Bitset.create ~capacity:1 () and delta = Bitset.create ~capacity:1 () in
+      ignore (Bitset.union_into ~dst a);
+      ignore (Bitset.diff_union_into ~dst ~delta b);
+      let xs' = List.sort_uniq compare xs in
+      let model = List.sort_uniq compare (xs @ ys) in
+      let fresh = List.filter (fun y -> not (List.mem y xs')) (List.sort_uniq compare ys) in
+      let seen = ref [] in
+      Bitset.iter dst (fun x -> seen := x :: !seen);
+      (* 300 fits in 5 words: record + array stay far below the 66 words
+         a capacity-sized copy would take *)
+      let small s = Obj.reachable_words (Obj.repr s) <= 16 in
+      List.rev !seen = model
+      && Bitset.to_list delta = fresh
+      && Bitset.equal dst (tailed model)
+      && Bitset.equal (tailed model) dst
+      && Bitset.subset a dst && Bitset.subset b dst
+      && Bitset.subset dst (tailed model)
+      && Bitset.subset dst a = List.for_all (fun y -> List.mem y xs') ys
+      && small dst && small delta)
+
 (* ------------------------------ Digraph ----------------------------- *)
 
 let test_scc_line () =
@@ -329,6 +363,7 @@ let () =
           Alcotest.test_case "choose_singleton" `Quick test_bitset_choose_singleton;
           QCheck_alcotest.to_alcotest test_bitset_model;
           QCheck_alcotest.to_alcotest test_bitset_delta_model;
+          QCheck_alcotest.to_alcotest test_bitset_tail_model;
         ] );
       ( "digraph",
         [
