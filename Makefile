@@ -3,7 +3,7 @@
 
 DUNE ?= dune
 
-.PHONY: all build test smoke smoke-parallel smoke-parallel-steal smoke-prune smoke-check smoke-minifun smoke-supa smoke-incr smoke-serve check bench bench-smoke bench-prune-smoke bench-taint-smoke bench-taint bench-minifun bench-incr bench-serve bench-e2e bench-compare bench-ab verify clean
+.PHONY: all build test smoke smoke-parallel smoke-parallel-jobs smoke-prune smoke-check smoke-minifun smoke-supa smoke-incr smoke-serve check bench bench-smoke bench-prune-smoke bench-taint-smoke bench-taint bench-minifun bench-incr bench-serve bench-e2e bench-compare bench-ab verify clean
 
 all: build
 
@@ -36,19 +36,19 @@ smoke-parallel:
 	    assert sum(d["queries"] for d in m["domains"]) == m["queries"], m; \
 	    print("parallel smoke ok:", m["queries"], "queries on", m["jobs"], "domains")'
 
-# Scheduling-policy equivalence end to end: the same checker batch on
-# two worker domains under work-stealing and under static sharding must
-# produce byte-identical report JSON — steals may reorder who answers a
-# query, never what the answer is.
-smoke-parallel-steal:
-	$(DUNE) exec bin/ptsto.exe -- check --bench jack --jobs 2 --schedule steal --fail-on never --report-json \
-	  | tail -n 1 > /tmp/ptsto_steal_report.json
-	$(DUNE) exec bin/ptsto.exe -- check --bench jack --jobs 2 --schedule static --fail-on never --report-json \
-	  | tail -n 1 > /tmp/ptsto_static_report.json
-	cmp /tmp/ptsto_steal_report.json /tmp/ptsto_static_report.json
-	python3 -c 'import json; r=json.load(open("/tmp/ptsto_steal_report.json")); \
+# Scheduling equivalence end to end: the same checker batch on one
+# domain and on two work-stealing domains must produce byte-identical
+# report JSON — steals may change who answers a query, never what the
+# answer is.
+smoke-parallel-jobs:
+	$(DUNE) exec bin/ptsto.exe -- check --bench jack --jobs 1 --fail-on never --report-json \
+	  | tail -n 1 > /tmp/ptsto_jobs1_report.json
+	$(DUNE) exec bin/ptsto.exe -- check --bench jack --jobs 2 --fail-on never --report-json \
+	  | tail -n 1 > /tmp/ptsto_jobs2_report.json
+	cmp /tmp/ptsto_jobs1_report.json /tmp/ptsto_jobs2_report.json
+	python3 -c 'import json; r=json.load(open("/tmp/ptsto_jobs2_report.json")); \
 	  assert r["schema"].startswith("ptsto.check-report/"), r; \
-	  print("parallel-steal smoke ok:", r["counts"]["total"], "findings, steal == static bytes")'
+	  print("parallel-jobs smoke ok:", r["counts"]["total"], "findings, jobs 1 == jobs 2 bytes")'
 
 # Andersen-guided pruning end to end: the pruner must be consulted
 # (prune_checks > 0), must actually cut match-edge work on refinepts
@@ -150,15 +150,15 @@ smoke-serve:
 	  assert resp[5]["base"]["size"] > 0, resp[5]; \
 	  print("serve smoke ok: verdicts+report match one-shot CLI, epoch", resp[4]["epoch"], "after edit")'
 
-check: build test smoke smoke-parallel smoke-parallel-steal smoke-prune smoke-check smoke-minifun smoke-supa smoke-incr smoke-serve
+check: build test smoke smoke-parallel smoke-parallel-jobs smoke-prune smoke-check smoke-minifun smoke-supa smoke-incr smoke-serve
 
 bench:
 	$(DUNE) exec bench/main.exe
 
-# Fast parallel-scheduler benchmark (jack, jobs 1/2, static + steal);
-# writes the machine-readable artefact next to the repo root. Only the
-# deterministic columns are asserted — set-equality across every
-# schedule/jobs configuration — because wall-clock ratios are noise on
+# Fast parallel-scheduler benchmark (jack, jobs 1/2); writes the
+# machine-readable artefact next to the repo root. Only the
+# deterministic columns are asserted — set-equality across job
+# counts — because wall-clock ratios are noise on
 # shared CI runners (the committed artefact carries the measured ones).
 bench-smoke:
 	$(DUNE) exec bench/main.exe -- parallel_smoke \
@@ -167,9 +167,7 @@ bench-smoke:
 	python3 -c 'import json; \
 	  rows=json.load(open("BENCH_parallel_smoke.json"))["rows"]; \
 	  assert all(r["set_equal_vs_first"] for r in rows), rows; \
-	  assert {"static","steal"} == {r["schedule"] for r in rows}, rows; \
-	  assert all("steals" in r and "predicted_cost_corr" in r for r in rows), rows; \
-	  print("bench-smoke ok:", len(rows), "rows, all schedules set-equal")'
+	  print("bench-smoke ok:", len(rows), "rows, all job counts set-equal")'
 
 # Pruning-on/off ratios on one benchmark (jython, NullDeref + alias
 # pairs); writes the machine-readable artefact next to the repo root.

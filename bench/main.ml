@@ -903,13 +903,11 @@ let scale () =
    per-query budget semantics, not a parallelism artefact.) *)
 let parallel_conf = Engine.conf ~budget_limit:2_000_000 ()
 
-(* A/B of the two Parsolve schedules across job counts. [repeat] re-runs
-   each configuration and keeps the minimum wall time (answers and steps
-   are deterministic; only the clock is noisy) — the smoke variant uses
-   it so the jobs=1 steal-vs-static overhead ratio is a scheduling
-   measurement, not an OS-jitter one. *)
-let run_parallel_bench ~artefact ~bench ~jobs_list ~rounds ?(schedules = [ Parsolve.Static; Parsolve.Steal ])
-    ?(repeat = 1) () =
+(* Parsolve across job counts. [repeat] re-runs each configuration and
+   keeps the minimum wall time (answers and steps are deterministic; only
+   the clock is noisy) — the smoke variant uses it so its jobs=1 row is a
+   scheduling measurement, not an OS-jitter one. *)
+let run_parallel_bench ~artefact ~bench ~jobs_list ~rounds ?(repeat = 1) () =
   hr
     (Printf.sprintf "Extension — parallel batch evaluation (%s, NullDeref, dynsum, %d round%s)"
        bench rounds (if rounds = 1 then "" else "s"));
@@ -921,133 +919,102 @@ let run_parallel_bench ~artefact ~bench ~jobs_list ~rounds ?(schedules = [ Parso
      one paying the cold start *)
   if repeat > 1 then
     Timing.warm (fun () ->
-        Parsolve.run ~conf:parallel_conf ~jobs:1 ~schedule:Parsolve.Static ~engine:"dynsum"
-          pl.Pipeline.pag qarr);
+        Parsolve.run ~conf:parallel_conf ~jobs:1 ~engine:"dynsum" pl.Pipeline.pag qarr);
   let t =
     Table.create
       [
-        ("schedule", Table.Left);
         ("jobs", Table.Right);
         ("wall s", Table.Right);
         ("ksteps", Table.Right);
         ("steals", Table.Right);
         ("imbalance", Table.Right);
-        ("pred corr", Table.Right);
         ("derived", Table.Right);
         ("unique", Table.Right);
         ("speedup vs jobs=1", Table.Right);
         ("set-equal", Table.Left);
       ]
   in
-  (* set-equality is checked against the very first configuration; the
-     speedup baseline is each schedule's own jobs=1 run *)
-  let global_baseline = ref None in
-  let static_walls = ref [] in
+  (* the first configuration is the baseline for both set-equality and
+     speedup *)
+  let baseline = ref None in
   List.iter
-    (fun schedule ->
-      let sched_baseline = ref None in
+    (fun jobs ->
+      let r, wall =
+        Timing.sample ~repeat
+          ~wall:(fun r -> r.Parsolve.wall_seconds)
+          (fun () ->
+            Parsolve.run ~conf:parallel_conf ~jobs ~rounds ~engine:"dynsum" pl.Pipeline.pag qarr)
+      in
+      let steps = List.fold_left (fun a d -> a + d.Parsolve.dr_steps) 0 r.Parsolve.reports in
+      (* per-domain total steps across rounds; imbalance = max/mean —
+         1.0 is a perfectly level load *)
+      let by_domain = Array.make jobs 0 in
       List.iter
-        (fun jobs ->
-          let r, wall =
-            Timing.sample ~repeat
-              ~wall:(fun r -> r.Parsolve.wall_seconds)
-              (fun () ->
-                Parsolve.run ~conf:parallel_conf ~jobs ~rounds ~schedule ~engine:"dynsum"
-                  pl.Pipeline.pag qarr)
-          in
-          let steps = List.fold_left (fun a d -> a + d.Parsolve.dr_steps) 0 r.Parsolve.reports in
-          (* per-domain total steps across rounds; imbalance = max/mean —
-             1.0 is a perfectly level load, the static shard's pathology
-             is exactly this number drifting up *)
-          let by_domain = Array.make jobs 0 in
-          List.iter
-            (fun d -> by_domain.(d.Parsolve.dr_domain) <- by_domain.(d.Parsolve.dr_domain) + d.Parsolve.dr_steps)
-            r.Parsolve.reports;
-          let imbalance =
-            let mean = float_of_int steps /. float_of_int jobs in
-            if mean <= 0.0 then 1.0
-            else float_of_int (Array.fold_left max 0 by_domain) /. mean
-          in
-          let equal =
-            match !global_baseline with
-            | None ->
-              global_baseline := Some r;
-              true
-            | Some r0 ->
-              let eq = ref true in
-              Array.iteri
-                (fun i o -> if not (Query.equal_outcome o r0.Parsolve.outcomes.(i)) then eq := false)
-                r.Parsolve.outcomes;
-              !eq
-          in
-          let speedup =
-            match !sched_baseline with
-            | None ->
-              sched_baseline := Some wall;
-              1.0
-            | Some w0 -> w0 /. Float.max 1e-9 wall
-          in
-          (if schedule = Parsolve.Static then static_walls := (jobs, wall) :: !static_walls);
-          let wall_vs_static =
-            match (schedule, List.assoc_opt jobs !static_walls) with
-            | Parsolve.Steal, Some w -> [ ("wall_ratio_vs_static", Bm.Json.Float (wall /. Float.max 1e-9 w)) ]
-            | _ -> []
-          in
-          Bm.row artefact ~bench ~engine:"dynsum" ~jobs
-            ([
-               ("schedule", Bm.Json.String (Parsolve.schedule_name schedule));
-               ("rounds", Bm.Json.Int r.Parsolve.rounds);
-               ("queries", Bm.Json.Int (Array.length qarr));
-               ("wall_seconds", Bm.Json.Float wall);
-               ("steps", Bm.Json.Int steps);
-               ("steals", Bm.Json.Int r.Parsolve.steals);
-               ("queue_imbalance", Bm.Json.Float imbalance);
-               ("predicted_cost_corr", Bm.Json.Float r.Parsolve.cost_corr);
-               ("merged_summaries", Bm.Json.Int r.Parsolve.merged_summaries);
-               ("unique_summaries", Bm.Json.Int r.Parsolve.unique_summaries);
-               ("base_hits", Bm.Json.Int r.Parsolve.base_hits);
-               ("base_misses", Bm.Json.Int r.Parsolve.base_misses);
-               ("base_evictions", Bm.Json.Int r.Parsolve.base_evictions);
-               ("base_size", Bm.Json.Int r.Parsolve.base_size);
-               ("speedup_vs_jobs1", Bm.Json.Float speedup);
-               ("set_equal_vs_first", Bm.Json.Bool equal);
-               ("recommended_domains", Bm.Json.Int (Domain.recommended_domain_count ()));
-             ]
-            @ wall_vs_static
-            @ [
-                ( "domains",
-                  Bm.Json.List
-                    (List.map
-                       (fun d ->
-                         Bm.Json.Obj
-                           [
-                             ("round", Bm.Json.Int d.Parsolve.dr_round);
-                             ("domain", Bm.Json.Int d.Parsolve.dr_domain);
-                             ("queries", Bm.Json.Int d.Parsolve.dr_queries);
-                             ("steps", Bm.Json.Int d.Parsolve.dr_steps);
-                             ("seconds", Bm.Json.Float d.Parsolve.dr_seconds);
-                             ("summaries", Bm.Json.Int d.Parsolve.dr_summaries);
-                             ("steals", Bm.Json.Int d.Parsolve.dr_steals);
-                           ])
-                       r.Parsolve.reports) );
-              ]);
-          Table.add_row t
-            [
-              Parsolve.schedule_name schedule;
-              string_of_int jobs;
-              Printf.sprintf "%.3f" wall;
-              Printf.sprintf "%.1f" (float_of_int steps /. 1000.);
-              string_of_int r.Parsolve.steals;
-              Printf.sprintf "%.2f" imbalance;
-              Printf.sprintf "%.2f" r.Parsolve.cost_corr;
-              string_of_int r.Parsolve.merged_summaries;
-              string_of_int r.Parsolve.unique_summaries;
-              Table.fmt_speedup speedup;
-              (if equal then "yes" else "NO");
-            ])
-        jobs_list;
-      Table.add_sep t)
-    schedules;
+        (fun d -> by_domain.(d.Parsolve.dr_domain) <- by_domain.(d.Parsolve.dr_domain) + d.Parsolve.dr_steps)
+        r.Parsolve.reports;
+      let imbalance =
+        let mean = float_of_int steps /. float_of_int jobs in
+        if mean <= 0.0 then 1.0
+        else float_of_int (Array.fold_left max 0 by_domain) /. mean
+      in
+      let equal, speedup =
+        match !baseline with
+        | None ->
+          baseline := Some (r, wall);
+          (true, 1.0)
+        | Some (r0, w0) ->
+          let eq = ref true in
+          Array.iteri
+            (fun i o -> if not (Query.equal_outcome o r0.Parsolve.outcomes.(i)) then eq := false)
+            r.Parsolve.outcomes;
+          (!eq, w0 /. Float.max 1e-9 wall)
+      in
+      Bm.row artefact ~bench ~engine:"dynsum" ~jobs
+        [
+          ("rounds", Bm.Json.Int r.Parsolve.rounds);
+          ("queries", Bm.Json.Int (Array.length qarr));
+          ("wall_seconds", Bm.Json.Float wall);
+          ("steps", Bm.Json.Int steps);
+          ("steals", Bm.Json.Int r.Parsolve.steals);
+          ("queue_imbalance", Bm.Json.Float imbalance);
+          ("merged_summaries", Bm.Json.Int r.Parsolve.merged_summaries);
+          ("unique_summaries", Bm.Json.Int r.Parsolve.unique_summaries);
+          ("base_hits", Bm.Json.Int r.Parsolve.base_hits);
+          ("base_misses", Bm.Json.Int r.Parsolve.base_misses);
+          ("base_evictions", Bm.Json.Int r.Parsolve.base_evictions);
+          ("base_size", Bm.Json.Int r.Parsolve.base_size);
+          ("speedup_vs_jobs1", Bm.Json.Float speedup);
+          ("set_equal_vs_first", Bm.Json.Bool equal);
+          ("recommended_domains", Bm.Json.Int (Domain.recommended_domain_count ()));
+          ( "domains",
+            Bm.Json.List
+              (List.map
+                 (fun d ->
+                   Bm.Json.Obj
+                     [
+                       ("round", Bm.Json.Int d.Parsolve.dr_round);
+                       ("domain", Bm.Json.Int d.Parsolve.dr_domain);
+                       ("queries", Bm.Json.Int d.Parsolve.dr_queries);
+                       ("steps", Bm.Json.Int d.Parsolve.dr_steps);
+                       ("seconds", Bm.Json.Float d.Parsolve.dr_seconds);
+                       ("summaries", Bm.Json.Int d.Parsolve.dr_summaries);
+                       ("steals", Bm.Json.Int d.Parsolve.dr_steals);
+                     ])
+                 r.Parsolve.reports) );
+        ];
+      Table.add_row t
+        [
+          string_of_int jobs;
+          Printf.sprintf "%.3f" wall;
+          Printf.sprintf "%.1f" (float_of_int steps /. 1000.);
+          string_of_int r.Parsolve.steals;
+          Printf.sprintf "%.2f" imbalance;
+          string_of_int r.Parsolve.merged_summaries;
+          string_of_int r.Parsolve.unique_summaries;
+          Table.fmt_speedup speedup;
+          (if equal then "yes" else "NO");
+        ])
+    jobs_list;
   Table.print t;
   Printf.printf
     "(wall-clock speedup tracks the machine's core count — %d domain(s) recommended here;\n\
@@ -1557,7 +1524,6 @@ let run_serve_equiv ~artefact ~bench () =
         o_conf = Engine.conf ~prune ();
         o_jobs = 1;
         o_rounds = 1;
-        o_schedule = Parsolve.Steal;
         o_base = None;
       }
     in

@@ -114,16 +114,6 @@ let jobs_arg ~doc =
          ^ " $(docv) is a positive integer, or $(b,auto) for the host's recommended domain \
             count — e.g. $(b,--jobs auto)."))
 
-let schedule_arg =
-  Arg.(
-    value
-    & opt (enum [ ("steal", Parsolve.Steal); ("static", Parsolve.Static) ]) Parsolve.Steal
-    & info [ "schedule" ] ~docv:"POLICY"
-        ~doc:
-          "Parallel batch scheduling policy: $(b,steal) (per-domain work-stealing deques seeded \
-           longest-first by the cost model; default) or $(b,static) (fixed round-robin shards — \
-           the A/B baseline). Answers are identical either way.")
-
 (* One shared sink per invocation: a [--trace FILE] JSONL writer, or null. *)
 let with_trace trace f =
   let sink =
@@ -249,7 +239,7 @@ let query_cmd lang file bench meth var engine_name budget prune trace metrics =
    writer instead of one sink) and per-domain reports replace the single
    engine's counters. *)
 let client_par_cmd lang file bench client_key engine_name budget prune cache_file trace metrics vjson jobs
-    rounds schedule =
+    rounds =
   with_pipeline ?lang file bench (fun pl ->
       let cname, queries_of = List.assoc client_key clients in
       if cache_file <> None then
@@ -262,7 +252,7 @@ let client_par_cmd lang file bench client_key engine_name budget prune cache_fil
           (List.map (fun q -> Parsolve.query ~satisfy:q.Client.q_pred q.Client.q_node) queries)
       in
       let r =
-        Parsolve.run ~conf ?trace_writer:writer ~jobs ~rounds ~schedule ~engine:engine_name
+        Parsolve.run ~conf ?trace_writer:writer ~jobs ~rounds ~engine:engine_name
           pl.Pipeline.pag qarr
       in
       Option.iter Trace.writer_close writer;
@@ -280,12 +270,9 @@ let client_par_cmd lang file bench client_key engine_name budget prune cache_fil
           verdicts
       in
       Printf.printf
-        "%s with %s: %d queries in %.3fs (%d jobs, %d rounds, %s schedule, %d steals, %d unique \
-         summaries)\n"
+        "%s with %s: %d queries in %.3fs (%d jobs, %d rounds, %d steals, %d unique summaries)\n"
         cname engine_name (Array.length qarr) r.Parsolve.wall_seconds r.Parsolve.jobs
-        r.Parsolve.rounds
-        (Parsolve.schedule_name r.Parsolve.schedule)
-        r.Parsolve.steals r.Parsolve.unique_summaries;
+        r.Parsolve.rounds r.Parsolve.steals r.Parsolve.unique_summaries;
       Format.printf "  %a@." Client.pp_tally tally;
       List.iter
         (fun d ->
@@ -308,16 +295,14 @@ let client_par_cmd lang file bench client_key engine_name budget prune cache_fil
           (to_string
              (Obj
                 [
-                  ("schema", String "ptsto.parallel-metrics/2");
+                  ("schema", String "ptsto.parallel-metrics/3");
                   ("engine", String engine_name);
                   ("jobs", Int r.Parsolve.jobs);
                   ("recommended_domains", Int (Domain.recommended_domain_count ()));
                   ("rounds", Int r.Parsolve.rounds);
-                  ("schedule", String (Parsolve.schedule_name r.Parsolve.schedule));
                   ("queries", Int (Array.length qarr));
                   ("wall_seconds", Float r.Parsolve.wall_seconds);
                   ("steals", Int r.Parsolve.steals);
-                  ("predicted_cost_corr", Float r.Parsolve.cost_corr);
                   ("merged_summaries", Int r.Parsolve.merged_summaries);
                   ("unique_summaries", Int r.Parsolve.unique_summaries);
                   ("base_hits", Int r.Parsolve.base_hits);
@@ -345,10 +330,10 @@ let client_par_cmd lang file bench client_key engine_name budget prune cache_fil
                 ])))
 
 let client_cmd lang file bench client_key engine_name budget prune cache_file trace metrics vjson jobs
-    rounds schedule =
+    rounds =
   if jobs <> 1 || rounds <> 1 then
     client_par_cmd lang file bench client_key engine_name budget prune cache_file trace metrics vjson jobs
-      rounds schedule
+      rounds
   else
   with_pipeline ?lang file bench (fun pl ->
       with_trace trace (fun sink ->
@@ -557,7 +542,7 @@ let check_source file bench tflows tclean tkill tweak =
     exit 2
 
 let check_cmd lang file bench tflows tclean tkill tweak checker_names engine_name budget prune jobs
-    rounds schedule fail_on report_json metrics =
+    rounds fail_on report_json metrics =
   let module Check = Pts_clients.Check in
   let module Diag = Pts_clients.Diag in
   let source = check_source file bench tflows tclean tkill tweak in
@@ -593,7 +578,6 @@ let check_cmd lang file bench tflows tclean tkill tweak checker_names engine_nam
       o_conf = conf;
       o_jobs = jobs;
       o_rounds = rounds;
-      o_schedule = schedule;
       o_base = None;
     }
   in
@@ -667,7 +651,7 @@ let check_cmd lang file bench tflows tclean tkill tweak checker_names engine_nam
    newline-delimited JSON requests forever. Responses are the only thing
    written to stdout (the banner goes to stderr), so
    [printf ... | ptsto serve --bench jack] is scriptable as-is. *)
-let serve_cmd lang file bench budget max_budget jobs rounds schedule base_capacity queue_capacity
+let serve_cmd lang file bench budget max_budget jobs rounds base_capacity queue_capacity
     max_cost pipeline socket trace =
   let module Daemon = Pts_serve.Daemon in
   let source = check_source file bench 0 0 0 0 in
@@ -687,7 +671,6 @@ let serve_cmd lang file bench budget max_budget jobs rounds schedule base_capaci
         {
           Daemon.c_jobs = jobs;
           c_rounds = rounds;
-          c_schedule = schedule;
           c_budget = budget;
           c_max_budget = max_budget;
           c_base_capacity = base_capacity;
@@ -828,7 +811,7 @@ let client_t =
   Cmd.v (Cmd.info "client" ~doc:"Run a client's query set")
     Term.(
       const client_cmd $ lang_arg $ file_arg $ bench_arg $ client $ engine_arg $ budget_arg $ prune_arg
-      $ cache $ trace_arg $ metrics_arg $ vjson $ jobs $ rounds $ schedule_arg)
+      $ cache $ trace_arg $ metrics_arg $ vjson $ jobs $ rounds)
 
 let compare_t =
   Cmd.v (Cmd.info "compare" ~doc:"All engines on all clients")
@@ -968,8 +951,8 @@ let check_t =
   Cmd.v (Cmd.info "check" ~doc:"Run the demand-driven checkers and report diagnostics")
     Term.(
       const check_cmd $ lang_arg $ file_arg $ bench_arg $ taint_flows $ taint_clean $ taint_kill
-      $ taint_weak $ checker $ engine_arg $ budget_arg $ prune_arg $ jobs $ rounds $ schedule_arg
-      $ fail_on $ report_json $ metrics_arg)
+      $ taint_weak $ checker $ engine_arg $ budget_arg $ prune_arg $ jobs $ rounds $ fail_on
+      $ report_json $ metrics_arg)
 
 let serve_t =
   let jobs = jobs_arg ~doc:"Answer each request's query batch on $(docv) worker domains." in
@@ -1007,8 +990,8 @@ let serve_t =
       value & opt int 0
       & info [ "max-cost" ] ~docv:"N"
           ~doc:
-            "Reject requests whose predicted step cost exceeds $(docv) with $(b,oversized) (0 = \
-             off).")
+            "Reject requests whose cost exceeds $(docv) with $(b,oversized) (0 = off). A \
+             request's cost is the summed Andersen points-to set sizes of its unique query roots.")
   in
   let pipeline =
     Arg.(
@@ -1031,7 +1014,7 @@ let serve_t =
           (query/check/edit/stats/shutdown) with a persistent cross-request summary tier")
     Term.(
       const serve_cmd $ lang_arg $ file_arg $ bench_arg $ budget_arg $ max_budget $ jobs $ rounds
-      $ schedule_arg $ base_capacity $ queue_capacity $ max_cost $ pipeline $ socket $ trace_arg)
+      $ base_capacity $ queue_capacity $ max_cost $ pipeline $ socket $ trace_arg)
 
 let run_t =
   Cmd.v

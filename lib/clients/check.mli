@@ -69,7 +69,6 @@ type opts = {
   o_conf : Conf.t;
   o_jobs : int;  (** {!Parsolve} worker domains; default 1 *)
   o_rounds : int;
-  o_schedule : Parsolve.schedule;  (** batch scheduling policy; default {!Parsolve.Steal} *)
   o_base : Dynsum.base option;
       (** external summary tier handed to {!Parsolve.run} (the serve
           daemon's cross-request store); default [None] — a per-call

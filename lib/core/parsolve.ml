@@ -5,15 +5,6 @@ type query = { node : Pag.node; satisfy : (Query.Target_set.t -> bool) option }
 
 let query ?satisfy node = { node; satisfy }
 
-type schedule = Static | Steal
-
-let schedule_name = function Static -> "static" | Steal -> "steal"
-
-let schedule_of_string = function
-  | "static" -> Some Static
-  | "steal" -> Some Steal
-  | _ -> None
-
 type domain_report = {
   dr_round : int;
   dr_domain : int;
@@ -31,11 +22,8 @@ type result = {
   wall_seconds : float;
   jobs : int;
   rounds : int;
-  schedule : schedule;
   steals : int;
-  predicted_steps : int array;
   actual_steps : int array;
-  cost_corr : float;
   merged_summaries : int;
   unique_summaries : int;
   summaries : Dynsum.snapshot Lazy.t;
@@ -89,19 +77,13 @@ let rebase_outcome = function
              acc)
          ts Query.Target_set.empty)
 
-(* The two ways a worker obtains its tasks. [Fixed] is the legacy static
-   shard: a private list, no cross-domain traffic. [Deques] is the
-   work-stealing pool: the worker owns [w_deques.(w_self)] (ownership
-   transferred by the main domain across [Domain.spawn]) and steals from
-   the fullest peer once its own deque runs dry. Tasks are only ever
-   seeded before the round starts, so "every deque empty" is a stable
-   termination condition — [Wsdeque.steal] returning [None] on a lost
-   race just sends the thief back to rescan. *)
-type feed =
-  | Fixed of (int * query) list
-  | Deques of { w_self : int; w_deques : (int * query) Wsdeque.t array }
-
-let run_worker ~conf ~trace_writer ~engine_name ~pag ~base ~export ~feed () =
+(* A worker owns [deques.(self)] (ownership transferred by the main
+   domain across [Domain.spawn]) and steals from the fullest peer once
+   its own deque runs dry. Tasks are only ever seeded before the round
+   starts, so "every deque empty" is a stable termination condition —
+   [Wsdeque.steal] returning [None] on a lost race just sends the thief
+   back to rescan. *)
+let run_worker ~conf ~trace_writer ~engine_name ~pag ~base ~export ~deques ~self () =
   let trace = Option.map Trace.buffered_jsonl trace_writer in
   let eng, dyn = build_engine ~conf ~trace engine_name pag in
   (match dyn, base with Some d, Some b -> Dynsum.set_base d b | _ -> ());
@@ -112,54 +94,45 @@ let run_worker ~conf ~trace_writer ~engine_name ~pag ~base ~export ~feed () =
     let o = eng.Engine.points_to ?satisfy:q.satisfy q.node in
     outs := (i, o, Budget.total_steps eng.Engine.budget - before) :: !outs
   in
-  let (), seconds =
-    Stats.time (fun () ->
-        match feed with
-        | Fixed items -> List.iter run_task items
-        | Deques { w_self; w_deques } ->
-          let jobs = Array.length w_deques in
-          let rec drain () =
-            match Wsdeque.pop w_deques.(w_self) with
-            | Some t ->
-              run_task t;
-              drain ()
-            | None -> scavenge ()
-          and scavenge () =
-            (* own deque dry: raid the fullest peer (FIFO end, i.e. its
-               cheapest remaining task under longest-first seeding) *)
-            let victim = ref (-1) and depth = ref 0 in
-            for d = 0 to jobs - 1 do
-              if d <> w_self then begin
-                let s = Wsdeque.size w_deques.(d) in
-                if s > !depth then begin
-                  victim := d;
-                  depth := s
-                end
-              end
-            done;
-            if !victim >= 0 then begin
-              (match trace with
-              | Some s ->
-                Trace.emit s
-                  (Trace.Queue_depth { engine = engine_name; domain = !victim; depth = !depth })
-              | None -> ());
-              match Wsdeque.steal w_deques.(!victim) with
-              | Some t ->
-                incr steals;
-                (match trace with
-                | Some s ->
-                  Trace.emit s
-                    (Trace.Steal { engine = engine_name; thief = w_self; victim = !victim })
-                | None -> ());
-                run_task t;
-                drain ()
-              | None -> scavenge () (* lost the race; someone made progress *)
-            end
-            (* else: every deque empty — in-flight tasks belong to their
-               takers, nothing left for us *)
-          in
-          drain ())
+  let jobs = Array.length deques in
+  let rec drain () =
+    match Wsdeque.pop deques.(self) with
+    | Some t ->
+      run_task t;
+      drain ()
+    | None -> scavenge ()
+  and scavenge () =
+    (* own deque dry: raid the fullest peer (FIFO end, i.e. the last
+       queries of its block in arrival order) *)
+    let victim = ref (-1) and depth = ref 0 in
+    for d = 0 to jobs - 1 do
+      if d <> self then begin
+        let s = Wsdeque.size deques.(d) in
+        if s > !depth then begin
+          victim := d;
+          depth := s
+        end
+      end
+    done;
+    if !victim >= 0 then begin
+      (match trace with
+      | Some s ->
+        Trace.emit s (Trace.Queue_depth { engine = engine_name; domain = !victim; depth = !depth })
+      | None -> ());
+      match Wsdeque.steal deques.(!victim) with
+      | Some t ->
+        incr steals;
+        (match trace with
+        | Some s -> Trace.emit s (Trace.Steal { engine = engine_name; thief = self; victim = !victim })
+        | None -> ());
+        run_task t;
+        drain ()
+      | None -> scavenge () (* lost the race; someone made progress *)
+    end
+    (* else: every deque empty — in-flight tasks belong to their takers,
+       nothing left for us *)
   in
+  let (), seconds = Stats.time drain in
   (match trace with Some s -> Trace.close s | None -> ());
   {
     wr_outcomes = !outs;
@@ -178,7 +151,7 @@ let run_worker ~conf ~trace_writer ~engine_name ~pag ~base ~export ~feed () =
         dyn;
   }
 
-let run ?(conf = Conf.default) ?trace_writer ?(jobs = 1) ?(rounds = 1) ?(schedule = Steal) ?base
+let run ?(conf = Conf.default) ?trace_writer ?(jobs = 1) ?(rounds = 1) ?base
     ~engine:engine_name pag queries =
   if jobs < 1 then invalid_arg "Parsolve.run: jobs must be >= 1";
   if rounds < 1 then invalid_arg "Parsolve.run: rounds must be >= 1";
@@ -200,9 +173,6 @@ let run ?(conf = Conf.default) ?trace_writer ?(jobs = 1) ?(rounds = 1) ?(schedul
   ignore (Pag.packed pag);
   let n = Array.length queries in
   let outcomes = Array.make n Query.Exceeded in
-  let predicted_steps =
-    Array.map (fun q -> Costmodel.predict ~prune:conf.Conf.prune pag q.node) queries
-  in
   let actual_steps = Array.make n 0 in
   let agg_stats = Stats.create () in
   let reports = ref [] in
@@ -229,42 +199,25 @@ let run ?(conf = Conf.default) ?trace_writer ?(jobs = 1) ?(rounds = 1) ?(schedul
         for round = 0 to rounds - 1 do
           (* consecutive index chunk per round (batch arrival order) *)
           let lo = round * n / rounds and hi = (round + 1) * n / rounds in
-          let feeds =
-            match schedule with
-            | Static ->
-              (* legacy shard: round-robin by index within the round *)
-              let shards = Array.make jobs [] in
-              for i = hi - 1 downto lo do
-                let d = (i - lo) mod jobs in
-                shards.(d) <- (i, queries.(i)) :: shards.(d)
-              done;
-              Array.map (fun items -> Fixed items) shards
-            | Steal ->
-              (* cost-model seeding: deal the round's queries round-robin
-                 in descending predicted cost, and push each deque's share
-                 cheapest-first so the owner pops expensive-first while
-                 thieves lift the cheap end — stragglers start earliest
-                 and migrate last *)
-              let order = Array.init (hi - lo) (fun k -> lo + k) in
-              Array.sort
-                (fun i j ->
-                  match compare predicted_steps.(j) predicted_steps.(i) with
-                  | 0 -> compare i j
-                  | c -> c)
-                order;
-              let shares = Array.make jobs [] in
-              Array.iteri
-                (fun k i -> shares.(k mod jobs) <- (i, queries.(i)) :: shares.(k mod jobs))
-                order;
-              let deques =
-                Array.map
-                  (fun share ->
-                    let dq = Wsdeque.create ~capacity:(max 16 (List.length share + 1)) () in
-                    List.iter (fun t -> Wsdeque.push dq t) share;
-                    dq)
-                  shares
-              in
-              Array.init jobs (fun d -> Deques { w_self = d; w_deques = deques })
+          (* split the round into [jobs] contiguous blocks in arrival
+             order, and push each block last-first so its owner pops it
+             in index order (one domain answers exactly as a sequential
+             loop would) while thieves lift the block's tail.
+             Neighbouring queries share summaries, so blocks beat
+             round-robin dealing at jobs 2 (EXPERIMENTS.md, "One batch
+             schedule"). *)
+          let shares = Array.make jobs [] in
+          for i = lo to hi - 1 do
+            let d = (i - lo) * jobs / (hi - lo) in
+            shares.(d) <- (i, queries.(i)) :: shares.(d)
+          done;
+          let deques =
+            Array.map
+              (fun share ->
+                let dq = Wsdeque.create ~capacity:(max 16 (List.length share + 1)) () in
+                List.iter (fun t -> Wsdeque.push dq t) share;
+                dq)
+              shares
           in
           (* A published round is snapshotted inside its workers. So is
              every round with several domains: their summaries overlap,
@@ -273,7 +226,7 @@ let run ?(conf = Conf.default) ?trace_writer ?(jobs = 1) ?(rounds = 1) ?(schedul
           let publish = round < rounds - 1 || caller_tier in
           let export = publish || jobs > 1 in
           let work d =
-            run_worker ~conf ~trace_writer ~engine_name ~pag ~base ~export ~feed:feeds.(d)
+            run_worker ~conf ~trace_writer ~engine_name ~pag ~base ~export ~deques ~self:d
           in
           let results =
             if jobs = 1 then [| work 0 () |]
@@ -327,7 +280,6 @@ let run ?(conf = Conf.default) ?trace_writer ?(jobs = 1) ?(rounds = 1) ?(schedul
   let unique_summaries =
     if !producers <= 1 then !produced else Dynsum.snapshot_length (Lazy.force summaries)
   in
-  let to_float a = Array.map float_of_int a in
   let base_hits, base_misses, base_evictions, base_size =
     match base with
     | None -> (0, 0, 0, 0)
@@ -340,11 +292,8 @@ let run ?(conf = Conf.default) ?trace_writer ?(jobs = 1) ?(rounds = 1) ?(schedul
     wall_seconds;
     jobs;
     rounds;
-    schedule;
     steals = !total_steals;
-    predicted_steps;
     actual_steps;
-    cost_corr = Costmodel.pearson (to_float predicted_steps) (to_float actual_steps);
     merged_summaries = !produced;
     unique_summaries;
     summaries;

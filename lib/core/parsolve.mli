@@ -7,20 +7,17 @@
     deques and the summary base tier are the only things the domains
     share.
 
-    {b Scheduling.} Two policies, A/B-able via [?schedule]:
-
-    - {!Static} — the legacy shard: queries round-robined by index, each
-      domain works its fixed list. Wall-clock tracks the slowest shard.
-    - {!Steal} (default) — one {!Wsdeque} per domain, seeded longest-first
-      by the {!Costmodel} prediction (oracle row size of the query root),
-      so predicted stragglers start immediately; a domain that runs dry
-      steals the cheapest remaining task from the fullest peer. Wall-clock
-      tracks total work instead of the worst shard.
-
-    Either way each query is answered {e exactly once} by {e some}
-    single-domain engine, so the verdicts are those of a sequential run —
-    scheduling moves work, never changes it (pinned by the cross-jobs ×
-    cross-schedule set-equality tests).
+    {b Scheduling.} One {!Wsdeque} per domain. Each round's queries are
+    split into [jobs] contiguous blocks in arrival order, and each owner
+    pops its block in index order, so one domain answers exactly as a
+    sequential loop would. A domain that runs dry steals from the
+    fullest peer (the tail of its block), so wall-clock tracks total
+    work instead of the worst shard. Each query is answered {e exactly once} by {e some}
+    single-domain engine, so the verdicts are those of a sequential run:
+    scheduling moves work, never changes it (pinned by the cross-jobs
+    set-equality tests). Order does not change how much DYNSUM work a
+    batch does either, only which domain derives a summary first: PPTA
+    summaries are context-independent (see DESIGN.md).
 
     {b Summary reuse.} For DYNSUM, summaries computed in round [k] are
     published to later rounds through a shared read-only base tier
@@ -50,11 +47,6 @@ type query = { node : Pag.node; satisfy : (Query.Target_set.t -> bool) option }
 
 val query : ?satisfy:(Query.Target_set.t -> bool) -> Pag.node -> query
 
-type schedule = Static | Steal
-
-val schedule_name : schedule -> string
-val schedule_of_string : string -> schedule option
-
 type domain_report = {
   dr_round : int;
   dr_domain : int;
@@ -78,13 +70,8 @@ type result = {
   wall_seconds : float;  (** whole batch, including spawn/join/merge *)
   jobs : int;
   rounds : int;
-  schedule : schedule;
   steals : int;  (** total successful steals across all rounds *)
-  predicted_steps : int array;  (** {!Costmodel.predict} per query, input order *)
-  actual_steps : int array;  (** kernel steps each query actually charged *)
-  cost_corr : float;
-      (** Pearson correlation of predicted vs actual ([nan] when
-          undefined) — the cost model's audit trail *)
+  actual_steps : int array;  (** kernel steps each query actually charged, input order *)
   merged_summaries : int;
       (** total DYNSUM summaries {e derived} across all domains and
           rounds (0 for other engines); minus {!field-unique_summaries}
@@ -118,7 +105,6 @@ val run :
   ?trace_writer:Trace.writer ->
   ?jobs:int ->
   ?rounds:int ->
-  ?schedule:schedule ->
   ?base:Dynsum.base ->
   engine:string ->
   Pag.t ->
@@ -126,12 +112,13 @@ val run :
   result
 (** [run ~engine pag queries] answers the batch and returns outcomes
     positionally. [jobs] defaults to 1 (inline, no spawn — the sequential
-    baseline; with {!Steal} the deque machinery still runs, which is what
-    the smoke benches measure as scheduler overhead). [rounds] (default 1)
+    baseline, answered in index order; the deque machinery still runs,
+    which is what the smoke benches measure as scheduler overhead).
+    [rounds] (default 1)
     splits the batch into consecutive chunks with a base-tier publish
     between chunks, so DYNSUM summaries learned early help later rounds
     even across domains; the last chunk publishes only into a
-    caller-owned [base]. [schedule] defaults to {!Steal}. When
+    caller-owned [base]. When
     [trace_writer] is given, every worker traces through its own
     {!Trace.buffered_jsonl} sink onto the shared writer — whole lines
     only — including per-steal {!Trace.Steal} and queue-depth events.

@@ -3,7 +3,8 @@
     The batch scheduler ({!Parsolve}) gives every worker domain one
     deque: the owner treats the bottom as a LIFO stack ({!push}/{!pop}),
     idle peers {!steal} from the top, so the oldest (in our seeding:
-    cheapest remaining) task of the busiest domain migrates first.
+    the last of its block in arrival order) task of the busiest domain
+    migrates first.
 
     Lock-free: [top] is advanced by a compare-and-set, [bottom] only by
     the owner. OCaml's [Atomic] is sequentially consistent, which

@@ -240,8 +240,9 @@ val site_is_summary : t -> int -> bool
     [true]. *)
 
 val oracle_row_size : t -> node -> int
-(** Number of allocation sites in the node's row — the cost-model's
-    proxy for how much of the graph a query rooted here can reach.
+(** Number of allocation sites in the node's row — the serve daemon's
+    admission proxy for how much of the graph a query rooted here can
+    reach.
     [0] when no oracle is installed (indistinguishable from a genuinely
     empty row; use {!has_oracle} to tell them apart). *)
 

@@ -1,12 +1,12 @@
 (* Admission control for the serve daemon: a bounded pending queue with
-   per-client fair share, plus a predicted-cost ceiling so one
+   per-client fair share, plus a per-request cost ceiling so one
    pathological request is refused up front instead of starving the
    queue from inside an engine run. Single-owner state: the daemon's
    read-admit-drain loop is the only toucher, so no locking here. *)
 
 type 'a t = {
   capacity : int; (* max pending requests; 0 = unbounded *)
-  max_cost : int; (* predicted-step ceiling per request; 0 = off *)
+  max_cost : int; (* cost ceiling per request; 0 = off *)
   queues : (string, 'a Queue.t) Hashtbl.t; (* client -> its FIFO *)
   rotation : string Queue.t; (* clients holding pending work, round-robin *)
   mutable pending : int;
@@ -34,7 +34,7 @@ let submit t ~client ~cost x =
     t.rejected_oversized <- t.rejected_oversized + 1;
     Error
       ( "oversized",
-        Printf.sprintf "predicted cost %d exceeds the per-request ceiling %d" cost t.max_cost )
+        Printf.sprintf "request cost %d exceeds the per-request ceiling %d" cost t.max_cost )
   end
   else if t.capacity > 0 && t.pending >= t.capacity then begin
     t.rejected_overloaded <- t.rejected_overloaded + 1;

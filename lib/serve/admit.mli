@@ -1,5 +1,5 @@
 (** Admission control: a bounded pending queue with per-client fair
-    share and a per-request predicted-cost ceiling.
+    share and a per-request cost ceiling.
 
     The daemon submits every parsed request here before executing
     anything; rejected requests get an immediate structured error while
@@ -14,8 +14,10 @@ type 'a t
 
 val create : ?capacity:int -> ?max_cost:int -> unit -> 'a t
 (** [capacity] (default 64) bounds pending requests, 0 = unbounded;
-    [max_cost] (default 0 = off) is the predicted-step ceiling above
-    which a request is rejected as oversized.
+    [max_cost] (default 0 = off) is the cost ceiling above which a
+    request is rejected as oversized. The cost unit is the caller's; the
+    daemon prices a request as the summed oracle row sizes of its
+    unique query roots.
     @raise Invalid_argument on negative arguments. *)
 
 val submit : 'a t -> client:string -> cost:int -> 'a -> (unit, string * string) result

@@ -18,7 +18,6 @@ let clients =
 type config = {
   c_jobs : int;
   c_rounds : int;
-  c_schedule : Parsolve.schedule;
   c_budget : int;
   c_max_budget : int;
   c_base_capacity : int;
@@ -31,7 +30,6 @@ let default_config =
   {
     c_jobs = 1;
     c_rounds = 1;
-    c_schedule = Parsolve.Steal;
     c_budget = Conf.default.Conf.budget_limit;
     c_max_budget = 0;
     c_base_capacity = 0;
@@ -77,34 +75,33 @@ let find_checker t name =
   let want = String.lowercase_ascii name in
   List.find_opt (fun ck -> String.lowercase_ascii ck.Check.ck_name = want) t.checkers
 
-(* Admission-time cost estimate: the same per-node Andersen prediction
-   that seeds the work-stealing deques, summed over the request's query
-   roots. Requests the daemon will reject anyway (unknown client/engine)
-   predict 0 and fail later with a better error. *)
-let predicted_cost t rq =
-  let sum_nodes ~prune nodes =
-    List.fold_left (fun acc n -> acc + Costmodel.predict ~prune t.pl.Pipeline.pag n) 0 nodes
+(* Admission-time cost: the Andersen oracle row sizes of the request's
+   distinct query roots, summed — how many allocation sites its queries
+   can reach at most. An unknown client costs 0 and unknown checkers
+   add nothing; the request then fails in its handler with a better
+   error. *)
+let request_cost t rq =
+  let queries =
+    match rq.Proto.rq_op with
+    | Proto.Query { client; _ } -> (
+      match List.assoc_opt client clients with
+      | None -> []
+      | Some (_, queries_of) -> queries_of t.pl)
+    | Proto.Check { checkers = names; _ } ->
+      let cks = if names = [] then t.checkers else List.filter_map (find_checker t) names in
+      List.concat_map (Check.queries_of t.pl) cks
+    | Proto.Edit _ | Proto.Stats | Proto.Shutdown -> []
   in
-  match rq.Proto.rq_op with
-  | Proto.Query { client; prune; _ } -> (
-    match List.assoc_opt client clients with
-    | None -> 0
-    | Some (_, queries_of) ->
-      sum_nodes ~prune (List.map (fun q -> q.Client.q_node) (queries_of t.pl)))
-  | Proto.Check { checkers = names; prune; _ } ->
-    let cks =
-      if names = [] then t.checkers else List.filter_map (find_checker t) names
-    in
-    (* dedup like the check driver: each unique node is answered once *)
-    let seen = Hashtbl.create 64 in
-    List.iter
-      (fun ck ->
-        List.iter
-          (fun q -> Hashtbl.replace seen q.Client.q_node ())
-          (Check.queries_of t.pl ck))
-      cks;
-    sum_nodes ~prune (Hashtbl.fold (fun n () acc -> n :: acc) seen [])
-  | Proto.Edit _ | Proto.Stats | Proto.Shutdown -> 0
+  let seen = Hashtbl.create 64 in
+  List.fold_left
+    (fun acc q ->
+      let n = q.Client.q_node in
+      if Hashtbl.mem seen n then acc
+      else begin
+        Hashtbl.add seen n ();
+        acc + Pag.oracle_row_size t.pl.Pipeline.pag n
+      end)
+    0 queries
 
 (* ----------------------------- handlers ----------------------------- *)
 
@@ -154,8 +151,8 @@ let run_query t ~client ~engine ~prune ~budget =
       (List.map (fun q -> Parsolve.query ~satisfy:q.Client.q_pred q.Client.q_node) queries)
   in
   let r =
-    Parsolve.run ~conf ~jobs:t.cfg.c_jobs ~rounds:t.cfg.c_rounds ~schedule:t.cfg.c_schedule
-      ~base:t.base ~engine t.pl.Pipeline.pag qarr
+    Parsolve.run ~conf ~jobs:t.cfg.c_jobs ~rounds:t.cfg.c_rounds ~base:t.base ~engine
+      t.pl.Pipeline.pag qarr
   in
   let verdicts =
     List.mapi (fun i q -> (q, Client.verdict_of q.Client.q_pred r.Parsolve.outcomes.(i))) queries
@@ -191,7 +188,6 @@ let run_check t ~names ~engine ~prune ~budget =
       o_conf = Engine.conf ~budget_limit ~prune ();
       o_jobs = t.cfg.c_jobs;
       o_rounds = t.cfg.c_rounds;
-      o_schedule = t.cfg.c_schedule;
       o_base = Some t.base;
     }
   in
@@ -310,7 +306,9 @@ let admit_one t oc line =
   match Proto.of_line line with
   | Error (code, msg) -> respond oc (Proto.error ~id:J.Null code msg)
   | Ok rq -> (
-    match Admit.submit t.admit ~client:rq.Proto.rq_client ~cost:(predicted_cost t rq) rq with
+    (* pricing builds the request's queries; skip it when nothing reads the price *)
+    let cost = if t.cfg.c_max_cost > 0 then request_cost t rq else 0 in
+    match Admit.submit t.admit ~client:rq.Proto.rq_client ~cost rq with
     | Ok () -> ()
     | Error (code, msg) -> respond oc (Proto.error ~id:rq.Proto.rq_id code msg))
 

@@ -17,17 +17,19 @@
 type config = {
   c_jobs : int;  (** {!Parsolve} worker domains per request *)
   c_rounds : int;
-  c_schedule : Parsolve.schedule;
   c_budget : int;  (** default per-query step budget *)
   c_max_budget : int;  (** per-request budget ceiling; 0 = no ceiling *)
   c_base_capacity : int;  (** cross-request tier entries; 0 = unbounded *)
   c_queue_capacity : int;  (** admission queue depth; 0 = unbounded *)
-  c_max_cost : int;  (** predicted-cost ceiling; 0 = off *)
+  c_max_cost : int;
+      (** per-request ceiling on the summed Andersen oracle row sizes
+          ({!Pag.oracle_row_size}) of the request's unique query roots;
+          0 = off, and then no request is priced *)
   c_pipeline : int;  (** requests read ahead before draining *)
 }
 
 val default_config : config
-(** jobs 1, rounds 1, Steal, budget {!Conf.default}, no ceilings,
+(** jobs 1, rounds 1, budget {!Conf.default}, no ceilings,
     queue capacity 64, pipeline window 1. *)
 
 val clients : (string * (string * (Pts_clients.Pipeline.t -> Pts_clients.Client.query list))) list

@@ -277,16 +277,13 @@ let test_edit_invalidation () =
 (* The line loop                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let test_serve_channel () =
-  let d = daemon () in
+(* Feed [input] (newline-terminated request lines) through
+   [Daemon.serve_channel] and return the response lines. *)
+let serve_lines d input =
   let infile = Filename.temp_file "serve_in" ".jsonl" in
   let outfile = Filename.temp_file "serve_out" ".jsonl" in
   let oc = open_out infile in
-  output_string oc
-    "{\"op\":\"stats\",\"id\":1}\n\
-     {\"op\":\"query\",\"client\":\"safecast\",\"id\":2}\n\
-     this is not json\n\
-     {\"op\":\"shutdown\",\"id\":3}\n";
+  output_string oc input;
   close_out oc;
   let ic = open_in infile in
   let oc = open_out outfile in
@@ -303,9 +300,20 @@ let test_serve_channel () =
   close_in ic;
   Sys.remove infile;
   Sys.remove outfile;
-  let lines = List.rev !lines in
+  List.rev !lines
+
+let parse l = match J.of_string l with Ok v -> v | Error e -> Alcotest.failf "response %S: %s" l e
+
+let test_serve_channel () =
+  let d = daemon () in
+  let lines =
+    serve_lines d
+      "{\"op\":\"stats\",\"id\":1}\n\
+       {\"op\":\"query\",\"client\":\"safecast\",\"id\":2}\n\
+       this is not json\n\
+       {\"op\":\"shutdown\",\"id\":3}\n"
+  in
   Alcotest.(check int) "one response per request" 4 (List.length lines);
-  let parse l = match J.of_string l with Ok v -> v | Error e -> Alcotest.failf "response %S: %s" l e in
   let r = List.map parse lines in
   Alcotest.(check bool) "stats answered" true (is_ok (List.nth r 0));
   Alcotest.(check string) "id echoed" "1" (member_str "id" (List.nth r 0));
@@ -314,37 +322,37 @@ let test_serve_channel () =
   Alcotest.(check bool) "shutdown acknowledged" true (is_ok (List.nth r 3));
   Alcotest.(check bool) "loop stopped" true (Daemon.shutting_down d)
 
+(* The cost ceiling end to end: a check request over every checker
+   reaches far more than one allocation site, so a ceiling of 1 turns it
+   away as oversized before any work, and [stats] counts the rejection.
+   With the ceiling off the same line is served. *)
+let test_serve_channel_oversized () =
+  let input = "{\"op\":\"check\",\"id\":1}\n{\"op\":\"stats\",\"id\":2}\n" in
+  let capped = daemon ~config:{ Daemon.default_config with Daemon.c_max_cost = 1 } () in
+  match List.map parse (serve_lines capped input) with
+  | [ check; stats ] -> (
+    Alcotest.(check string) "check rejected" "oversized" (error_code check);
+    let admission = Option.get (J.member "admission" stats) in
+    Alcotest.(check int) "one oversized rejection" 1 (int_field "rejected_oversized" admission);
+    Alcotest.(check int) "ceiling reported" 1 (int_field "max_request_cost" admission);
+    match List.map parse (serve_lines (daemon ()) input) with
+    | [ check; _ ] -> Alcotest.(check bool) "served without a ceiling" true (is_ok check)
+    | r -> Alcotest.failf "expected 2 responses, got %d" (List.length r))
+  | r -> Alcotest.failf "expected 2 responses, got %d" (List.length r)
+
 (* Verdict objects from the loop must match direct [handle] calls byte
    for byte on a daemon in the same state (the loop adds nothing; the
    envelope's wall_seconds is the one timing-bearing field). *)
 let test_serve_channel_bytes_match_handle () =
   let line = "{\"op\":\"query\",\"client\":\"nullderef\",\"engine\":\"dynsum\"}" in
-  let via_channel =
-    let d = daemon () in
-    let infile = Filename.temp_file "serve_in" ".jsonl" in
-    let outfile = Filename.temp_file "serve_out" ".jsonl" in
-    let oc = open_out infile in
-    output_string oc (line ^ "\n");
-    close_out oc;
-    let ic = open_in infile in
-    let oc = open_out outfile in
-    Daemon.serve_channel d ic oc;
-    close_in ic;
-    close_out oc;
-    let ic = open_in outfile in
-    let l = input_line ic in
-    close_in ic;
-    Sys.remove infile;
-    Sys.remove outfile;
-    l
-  in
+  let via_channel = List.hd (serve_lines (daemon ()) (line ^ "\n")) in
   let via_handle =
     let d = daemon () in
     match Proto.of_line line with
     | Ok rq -> Daemon.handle d rq
     | Error _ -> Alcotest.fail "decode"
   in
-  let channel_json = match J.of_string via_channel with Ok v -> v | Error e -> Alcotest.failf "parse: %s" e in
+  let channel_json = parse via_channel in
   Alcotest.(check string) "loop == handle verdict bytes" (member_str "verdicts" via_handle)
     (member_str "verdicts" channel_json);
   Alcotest.(check string) "same epoch" (member_str "epoch" via_handle) (member_str "epoch" channel_json)
@@ -378,6 +386,7 @@ let () =
       ( "loop",
         [
           Alcotest.test_case "serve_channel" `Quick test_serve_channel;
+          Alcotest.test_case "oversized check rejected" `Quick test_serve_channel_oversized;
           Alcotest.test_case "loop bytes == handle bytes" `Quick test_serve_channel_bytes_match_handle;
         ] );
     ]

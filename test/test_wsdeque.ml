@@ -1,4 +1,4 @@
-(* The work-stealing deque and the cost model under it.
+(* The work-stealing deque.
 
    Wsdeque's contract is small enough to pin exactly: single-owner
    push/pop at the bottom, any-domain steal at the top. Sequentially
@@ -6,14 +6,7 @@
    two-ended list model — that is the linearizable behaviour, checked
    against random op sequences. Concurrently, the one property the
    scheduler relies on is no-loss/no-duplication: every pushed element
-   is taken exactly once, whichever side takes it.
-
-   The cost model's contract is monotonicity (a larger oracle row never
-   predicts cheaper) plus the empty-row fast path — ranking is all the
-   scheduler consumes, so that is all we pin. *)
-
-module Suite = Pts_workload.Suite
-module Pipeline = Pts_clients.Pipeline
+   is taken exactly once, whichever side takes it. *)
 
 (* ----------------------- model-based sequential ---------------------- *)
 
@@ -141,53 +134,35 @@ let test_push_race () =
   let all = List.sort compare (!mine @ stolen) in
   Alcotest.(check bool) "push race: no duplicates, no losses" true (all = List.init n Fun.id)
 
-(* ------------------------------ cost model --------------------------- *)
+(* ------------------------------ emptiness --------------------------- *)
 
-let test_predict_monotone =
-  QCheck.Test.make ~count:1000 ~name:"larger oracle row => not-smaller prediction"
-    QCheck.(pair small_nat small_nat)
-    (fun (a, b) ->
-      let lo = min a b and hi = max a b in
-      Costmodel.predict_of_row ~empty:false lo <= Costmodel.predict_of_row ~empty:false hi)
-
-let test_predict_fastpath () =
-  Alcotest.(check int) "empty row hits the fast-path constant" Costmodel.fastpath_cost
-    (Costmodel.predict_of_row ~empty:true 12345);
-  Alcotest.(check bool) "fast path is the cheapest prediction" true
-    (Costmodel.fastpath_cost <= Costmodel.predict_of_row ~empty:false 0)
-
-(* on a real PAG: predictions ranked consistently with oracle row sizes,
-   and empty rows on the fast path when pruning is on *)
-let test_predict_on_pag () =
-  let pl = Suite.pipeline "jack" in
-  let pag = pl.Pipeline.pag in
-  Alcotest.(check bool) "suite pipeline carries an oracle" true (Pag.has_oracle pag);
-  for n = 0 to Pag.node_count pag - 1 do
-    for m = n + 1 to min (n + 7) (Pag.node_count pag - 1) do
-      let rn = Pag.oracle_row_size pag n and rm = Pag.oracle_row_size pag m in
-      let pn = Costmodel.predict ~prune:false pag n and pm = Costmodel.predict ~prune:false pag m in
-      if rn <= rm && pn > pm then
-        Alcotest.failf "rank inversion: row %d>%d predicted %d<=%d" rn rm pn pm
-    done;
-    if Pag.oracle_row_empty pag n then
-      Alcotest.(check int)
-        (Printf.sprintf "empty row of node %d on the fast path" n)
-        Costmodel.fastpath_cost
-        (Costmodel.predict ~prune:true pag n)
-  done
-
-let test_pearson () =
-  let check_nan x = Alcotest.(check bool) "nan" true (Float.is_nan x) in
-  Alcotest.(check (float 1e-9)) "perfect correlation" 1.0
-    (Costmodel.pearson [| 1.; 2.; 3. |] [| 10.; 20.; 30. |]);
-  Alcotest.(check (float 1e-9)) "perfect anticorrelation" (-1.0)
-    (Costmodel.pearson [| 1.; 2.; 3. |] [| 3.; 2.; 1. |]);
-  check_nan (Costmodel.pearson [| 1.; 1. |] [| 1.; 2. |]);
-  check_nan (Costmodel.pearson [| 1. |] [| 1. |]);
-  check_nan (Costmodel.pearson [||] [||]);
-  Alcotest.check_raises "length mismatch"
-    (Invalid_argument "Costmodel.pearson: length mismatch") (fun () ->
-      ignore (Costmodel.pearson [| 1. |] [| 1.; 2. |]))
+(* is_empty, pop and steal on a fresh deque, on one drained from either
+   end, and on one refilled after draining: the workers' termination
+   test reads exactly these answers *)
+let test_empty () =
+  let q = Wsdeque.create ~capacity:2 () in
+  let check_empty what =
+    Alcotest.(check bool) (what ^ ": is_empty") true (Wsdeque.is_empty q);
+    Alcotest.(check int) (what ^ ": size") 0 (Wsdeque.size q);
+    Alcotest.(check (option int)) (what ^ ": pop") None (Wsdeque.pop q);
+    Alcotest.(check (option int)) (what ^ ": steal") None (Wsdeque.steal q)
+  in
+  check_empty "fresh";
+  for i = 0 to 9 do
+    Wsdeque.push q i
+  done;
+  Alcotest.(check bool) "filled: not empty" false (Wsdeque.is_empty q);
+  for _ = 0 to 9 do
+    ignore (Wsdeque.pop q)
+  done;
+  check_empty "drained by pop";
+  for i = 0 to 9 do
+    Wsdeque.push q i
+  done;
+  for i = 0 to 9 do
+    Alcotest.(check (option int)) "refilled: steal in push order" (Some i) (Wsdeque.steal q)
+  done;
+  check_empty "drained by steal"
 
 let () =
   Alcotest.run "wsdeque"
@@ -198,11 +173,5 @@ let () =
           Alcotest.test_case "multi-thief no-loss/no-dup" `Quick test_multi_thief;
           Alcotest.test_case "owner-push race no-loss/no-dup" `Quick test_push_race;
         ] );
-      ( "costmodel",
-        [
-          QCheck_alcotest.to_alcotest test_predict_monotone;
-          Alcotest.test_case "fast path" `Quick test_predict_fastpath;
-          Alcotest.test_case "ranking on a real PAG" `Quick test_predict_on_pag;
-          Alcotest.test_case "pearson" `Quick test_pearson;
-        ] );
+      ("emptiness", [ Alcotest.test_case "fresh, drained and refilled deques" `Quick test_empty ]);
     ]
