@@ -3,7 +3,7 @@
 
 DUNE ?= dune
 
-.PHONY: all build test smoke smoke-parallel smoke-parallel-jobs smoke-prune smoke-check smoke-minifun smoke-supa smoke-incr smoke-serve check bench bench-smoke bench-prune-smoke bench-taint-smoke bench-taint bench-minifun bench-incr bench-serve bench-e2e bench-compare bench-ab verify clean
+.PHONY: all build test smoke smoke-parallel smoke-parallel-jobs smoke-check smoke-minifun smoke-supa smoke-incr smoke-serve check bench bench-smoke bench-taint-smoke bench-taint bench-minifun bench-incr bench-serve bench-e2e bench-compare bench-ab verify clean
 
 all: build
 
@@ -49,17 +49,6 @@ smoke-parallel-jobs:
 	python3 -c 'import json; r=json.load(open("/tmp/ptsto_jobs2_report.json")); \
 	  assert r["schema"].startswith("ptsto.check-report/"), r; \
 	  print("parallel-jobs smoke ok:", r["counts"]["total"], "findings, jobs 1 == jobs 2 bytes")'
-
-# Andersen-guided pruning end to end: the pruner must be consulted
-# (prune_checks > 0), must actually cut match-edge work on refinepts
-# (pruned_states > 0), and the flag must leave verdict counts unchanged.
-smoke-prune:
-	$(DUNE) exec bin/ptsto.exe -- client --bench jython -c nullderef -e refinepts --prune --metrics-json \
-	  | tail -n 1 \
-	  | python3 -c 'import json,sys; e=json.load(sys.stdin)["engines"][0]; c=e["counters"]; \
-	    assert c.get("prune_checks", 0) > 0, c; \
-	    assert c.get("pruned_states", 0) > 0, c; \
-	    print("prune smoke ok:", c["pruned_states"], "states pruned in", c["prune_checks"], "checks")'
 
 # The checker driver end to end on a clean benchmark. The unseeded suite
 # deliberately contains bad casts and null flows for the other clients,
@@ -112,7 +101,7 @@ smoke-supa:
 
 # Incremental editing end to end: seeded edit bursts applied in place,
 # each burst's query verdicts and check reports compared against a
-# from-scratch rebuild (byte-identity across engines x prune x jobs),
+# from-scratch rebuild (byte-identity across engines x jobs),
 # with summary retention > 0 proving the invalidation is targeted
 # rather than a cache wipe. A non-zero exit from `ptsto edit` already
 # means an equivalence failure; the python step re-asserts the blob.
@@ -150,7 +139,7 @@ smoke-serve:
 	  assert resp[5]["base"]["size"] > 0, resp[5]; \
 	  print("serve smoke ok: verdicts+report match one-shot CLI, epoch", resp[4]["epoch"], "after edit")'
 
-check: build test smoke smoke-parallel smoke-parallel-jobs smoke-prune smoke-check smoke-minifun smoke-supa smoke-incr smoke-serve
+check: build test smoke smoke-parallel smoke-parallel-jobs smoke-check smoke-minifun smoke-supa smoke-incr smoke-serve
 
 bench:
 	$(DUNE) exec bench/main.exe
@@ -168,18 +157,6 @@ bench-smoke:
 	  rows=json.load(open("BENCH_parallel_smoke.json"))["rows"]; \
 	  assert all(r["set_equal_vs_first"] for r in rows), rows; \
 	  print("bench-smoke ok:", len(rows), "rows, all job counts set-equal")'
-
-# Pruning-on/off ratios on one benchmark (jython, NullDeref + alias
-# pairs); writes the machine-readable artefact next to the repo root.
-bench-prune-smoke:
-	$(DUNE) exec bench/main.exe -- prune_smoke \
-	  | grep '^BENCH_prune_smoke.json ' \
-	  | sed 's/^BENCH_prune_smoke.json //' > BENCH_prune_smoke.json
-	python3 -c 'import json; \
-	  rows=json.load(open("BENCH_prune_smoke.json"))["rows"]; \
-	  assert all(r["verdicts_equal"] for r in rows), rows; \
-	  assert any(r["steps_on"] < r["steps_off"] for r in rows), rows; \
-	  print("bench-prune-smoke ok:", len(rows), "rows, verdicts equal, steps reduced")'
 
 # Taint checker precision/recall on one seeded benchmark with kill/weak
 # shapes; recall must be 1.0 everywhere, the flow-insensitive engines
@@ -249,7 +226,7 @@ bench-incr:
 
 # Daemon equivalence matrix + sustained-throughput phases (jack and
 # soot-c); writes the committed artefact. Asserted: every equivalence
-# cell byte-equal (engines x prune x pre/post-edit), qps and latency
+# cell byte-equal (engines x pre/post-edit), qps and latency
 # percentiles in every row, and the cross-request tier buying at least
 # 1.5x warm-over-cold throughput on one suite (wall-clock, so only the
 # committed artefact's measured ratio is held to the bar; CI re-asserts
@@ -298,7 +275,7 @@ bench-ab:
 # Tier-1 plus the smokes in one command. bench-taint is the full
 # three-benchmark precision study — it regenerates the committed
 # BENCH_taint.json so the supa precision gap is re-measured, not stale.
-verify: check bench-smoke bench-prune-smoke bench-taint-smoke bench-taint bench-minifun bench-incr bench-serve
+verify: check bench-smoke bench-taint-smoke bench-taint bench-minifun bench-incr bench-serve
 
 clean:
 	$(DUNE) clean

@@ -6,7 +6,7 @@
      dune exec bench/main.exe -- table4  -- one artefact (table1 table2
                                             table3 table4 figure4 figure5
                                             ablation devirt minifun scale
-                                            parallel prune taint incr
+                                            parallel taint incr
                                             micro kernel, plus *_smoke
                                             variants)
 
@@ -914,12 +914,11 @@ let run_parallel_bench ~artefact ~bench ~jobs_list ~rounds ?(repeat = 1) () =
   let pl = Suite.pipeline bench in
   let queries = Pts_clients.Nullderef.queries pl in
   let qarr = Array.of_list (List.map (fun q -> Parsolve.query q.Client.q_node) queries) in
-  (* when repeating for a min-wall measurement, also warm the process
-     with one untimed run so the first measured configuration isn't the
-     one paying the cold start *)
-  if repeat > 1 then
-    Timing.warm (fun () ->
-        Parsolve.run ~conf:parallel_conf ~jobs:1 ~engine:"dynsum" pl.Pipeline.pag qarr);
+  (* warm the process with one untimed run so the first measured
+     configuration — the jobs-1 baseline every speedup divides by — isn't
+     the one paying the cold start *)
+  Timing.warm (fun () ->
+      Parsolve.run ~conf:parallel_conf ~jobs:1 ~engine:"dynsum" pl.Pipeline.pag qarr);
   let t =
     Table.create
       [
@@ -1034,164 +1033,6 @@ let parallel () =
 let parallel_smoke () =
   run_parallel_bench ~artefact:"parallel_smoke" ~bench:"jack" ~jobs_list:[ 1; 2 ] ~rounds:1
     ~repeat:5 ()
-
-(* --------------------------------------------------------------------- *)
-(* Andersen-guided pruning (--prune)                                      *)
-(* --------------------------------------------------------------------- *)
-
-(* Two measurements per benchmark: the NullDeref query load under every
-   engine with the oracle pruner on vs off (same verdicts, fewer steps —
-   the reduction concentrates in REFINEPTS, whose field-based match edges
-   are the one place the demand side is coarser than Andersen), and an
-   alias-pair load where disjoint oracle rows answer Must_not without
-   issuing the two underlying points-to queries at all. *)
-let run_prune_bench ~artefact ~benches ~engines:engine_names ?(repeat = 1) () =
-  hr
-    (Printf.sprintf "Extension — Andersen-guided pruning (%s; NullDeref + alias pairs)"
-       (String.concat ", " benches));
-  let conf_for ename ~prune =
-    (* STASUM's offline enumeration needs the bounded stack space (see
-       [stasum_conf]); the flag must not change the offline table. *)
-    if ename = "stasum" then Engine.conf ~max_field_depth:4 ~overflow:Engine.Widen ~prune ()
-    else Engine.conf ~prune ()
-  in
-  let t =
-    Table.create
-      [
-        ("Benchmark", Table.Left);
-        ("Engine", Table.Left);
-        ("steps off (k)", Table.Right);
-        ("steps on (k)", Table.Right);
-        ("ratio", Table.Right);
-        ("pruned", Table.Right);
-        ("checks", Table.Right);
-        ("verdicts", Table.Left);
-      ]
-  in
-  List.iter
-    (fun bname ->
-      let pl = Suite.pipeline bname in
-      let queries = Pts_clients.Nullderef.queries pl in
-      List.iter
-        (fun ename ->
-          (* a fresh engine per sample keeps the step counts cold-cache
-             deterministic; min-of-N only de-noises the clock *)
-          let run_with prune =
-            fst
-              (Timing.sample ~repeat
-                 ~wall:(fun (r, _) -> r.Client.seconds)
-                 (fun () ->
-                   let e = Engine.create ~conf:(conf_for ename ~prune) ename pl.Pipeline.pag in
-                   (Client.run e queries, e)))
-          in
-          let r_off, _ = run_with false in
-          let r_on, e_on = run_with true in
-          let pruned = Stats.get e_on.Engine.stats "pruned_states" in
-          let checks = Stats.get e_on.Engine.stats "prune_checks" in
-          let ratio = float_of_int r_on.Client.steps /. Float.max 1.0 (float_of_int r_off.Client.steps) in
-          let same = r_on.Client.tally = r_off.Client.tally in
-          Bm.row artefact ~bench:bname ~client:"NullDeref" ~engine:ename
-            [
-              ("steps_off", Bm.Json.Int r_off.Client.steps);
-              ("steps_on", Bm.Json.Int r_on.Client.steps);
-              ("step_ratio", Bm.Json.Float ratio);
-              ("pruned_states", Bm.Json.Int pruned);
-              ("prune_checks", Bm.Json.Int checks);
-              ("seconds_off", Bm.Json.Float r_off.Client.seconds);
-              ("seconds_on", Bm.Json.Float r_on.Client.seconds);
-              ("verdicts_equal", Bm.Json.Bool same);
-            ];
-          Table.add_row t
-            [
-              bname;
-              ename;
-              Printf.sprintf "%.1f" (float_of_int r_off.Client.steps /. 1000.);
-              Printf.sprintf "%.1f" (float_of_int r_on.Client.steps /. 1000.);
-              Printf.sprintf "%.3f" ratio;
-              string_of_int pruned;
-              string_of_int checks;
-              (if same then "equal" else "DIFFER");
-            ])
-        engine_names)
-    benches;
-  Table.print t;
-  (* Alias pairs: the whole-query fast path. *)
-  let ta =
-    Table.create
-      [
-        ("Benchmark", Table.Left);
-        ("pairs", Table.Right);
-        ("must-not", Table.Right);
-        ("fast-path", Table.Right);
-        ("steps off (k)", Table.Right);
-        ("steps on (k)", Table.Right);
-        ("ratio", Table.Right);
-        ("verdicts", Table.Left);
-      ]
-  in
-  List.iter
-    (fun bname ->
-      let pl = Suite.pipeline bname in
-      let pag = pl.Pipeline.pag in
-      let nodes =
-        List.filteri (fun i _ -> i < 24)
-          (List.map (fun q -> q.Client.q_node) (Pts_clients.Nullderef.queries pl))
-      in
-      let pairs =
-        List.concat_map
-          (fun x -> List.filter_map (fun y -> if x < y then Some (x, y) else None) nodes)
-          nodes
-      in
-      let run_with pag_opt =
-        let e = Engine.create ~conf:(Engine.conf ()) "dynsum" pag in
-        let verdicts = List.map (fun (x, y) -> Alias.may_alias ?pag:pag_opt e x y) pairs in
-        (verdicts, Budget.total_steps e.Engine.budget)
-      in
-      let v_off, steps_off = run_with None in
-      let v_on, steps_on = run_with (Some pag) in
-      let fastpath =
-        List.length (List.filter (fun (x, y) -> Pag.oracle_disjoint pag x y) pairs)
-      in
-      let mustnot = List.length (List.filter (fun v -> v = Alias.Must_not) v_on) in
-      let same = v_on = v_off in
-      let ratio = float_of_int steps_on /. Float.max 1.0 (float_of_int steps_off) in
-      Bm.row artefact ~bench:bname ~client:"alias" ~engine:"dynsum"
-        [
-          ("pairs", Bm.Json.Int (List.length pairs));
-          ("must_not", Bm.Json.Int mustnot);
-          ("fastpath_pairs", Bm.Json.Int fastpath);
-          ("steps_off", Bm.Json.Int steps_off);
-          ("steps_on", Bm.Json.Int steps_on);
-          ("step_ratio", Bm.Json.Float ratio);
-          ("verdicts_equal", Bm.Json.Bool same);
-        ];
-      Table.add_row ta
-        [
-          bname;
-          string_of_int (List.length pairs);
-          string_of_int mustnot;
-          string_of_int fastpath;
-          Printf.sprintf "%.1f" (float_of_int steps_off /. 1000.);
-          Printf.sprintf "%.1f" (float_of_int steps_on /. 1000.);
-          Printf.sprintf "%.3f" ratio;
-          (if same then "equal" else "DIFFER");
-        ])
-    benches;
-  Table.print ta;
-  Printf.printf
-    "(pruning never changes a verdict; steps drop where REFINEPTS match edges\n\
-    \ or disjoint alias rows let the oracle cut work, and stay flat for the\n\
-    \ exact engines — on a PAG built by Andersen itself, every state an exact\n\
-    \ traversal reaches is Andersen-consistent)\n";
-  Bm.flush artefact
-
-let prune () =
-  run_prune_bench ~artefact:"prune" ~benches:Suite.names
-    ~engines:[ "norefine"; "refinepts"; "dynsum"; "stasum" ] ()
-
-let prune_smoke () =
-  run_prune_bench ~artefact:"prune_smoke" ~benches:[ "jython" ]
-    ~engines:[ "refinepts"; "dynsum" ] ()
 
 (* --------------------------------------------------------------------- *)
 (* Taint checker: precision/recall on seeded defects, per engine          *)
@@ -1481,8 +1322,8 @@ let serve_checkers bench =
 let serve_req ?(client_id = "bench") op =
   { Proto.rq_id = Bm.Json.Null; rq_client = client_id; rq_op = op }
 
-let serve_query ?client_id ~engine ~prune client =
-  serve_req ?client_id (Proto.Query { client; engine; prune; budget = None })
+let serve_query ?client_id ~engine client =
+  serve_req ?client_id (Proto.Query { client; engine; budget = None })
 
 let serve_handle_timed d lat rq =
   let resp, dt = Stats.time (fun () -> Daemon.handle d rq) in
@@ -1504,24 +1345,24 @@ let run_serve_equiv ~artefact ~bench () =
   (* Fresh one-shot references, computed on a pipeline the daemon never
      touches: the same canonical encoders the CLI prints, answered with
      no cross-request tier. *)
-  let fresh_verdicts pl ~engine ~prune client_key =
+  let fresh_verdicts pl ~engine client_key =
     let cname, queries_of = List.assoc client_key Daemon.clients in
     let queries = queries_of pl in
     let qarr =
       Array.of_list
         (List.map (fun q -> Parsolve.query ~satisfy:q.Client.q_pred q.Client.q_node) queries)
     in
-    let r = Parsolve.run ~conf:(Engine.conf ~prune ()) ~engine pl.Pipeline.pag qarr in
+    let r = Parsolve.run ~conf:(Engine.conf ()) ~engine pl.Pipeline.pag qarr in
     let verdicts =
       List.mapi (fun i q -> (q, Client.verdict_of q.Client.q_pred r.Parsolve.outcomes.(i))) queries
     in
     Bm.Json.to_string (Client.verdicts_json ~client:cname verdicts)
   in
-  let fresh_report pl ~engine ~prune =
+  let fresh_report pl ~engine =
     let opts =
       {
         Check.o_engine = engine;
-        o_conf = Engine.conf ~prune ();
+        o_conf = Engine.conf ();
         o_jobs = 1;
         o_rounds = 1;
         o_base = None;
@@ -1529,7 +1370,7 @@ let run_serve_equiv ~artefact ~bench () =
     in
     Bm.Json.to_string (Check.report_json (Check.run ~opts ~checkers pl))
   in
-  (* ---- phase 1: equivalence matrix, engines x prune, before and after
+  (* ---- phase 1: equivalence matrix, one row per engine, before and after
      an interleaved edit burst. One daemon serves the whole matrix, so
      later cells run against whatever the earlier ones left in the
      shared tier — exactly the state a long-lived daemon accumulates. *)
@@ -1537,7 +1378,6 @@ let run_serve_equiv ~artefact ~bench () =
     Table.create ~title:"serve equivalence: daemon responses vs one-shot CLI (byte compare)"
       [
         ("engine", Table.Left);
-        ("prune", Table.Left);
         ("epoch", Table.Right);
         ("query", Table.Left);
         ("check", Table.Left);
@@ -1552,44 +1392,38 @@ let run_serve_equiv ~artefact ~bench () =
   let matrix epoch_label =
     List.iter
       (fun engine ->
-        List.iter
-          (fun prune ->
-            let lat = ref [] in
-            let (q_eq, c_eq), wall =
-              Stats.time (fun () ->
-                  let q_resp = handle_timed daemon lat (query_req ~engine ~prune "safecast") in
-                  let c_resp =
-                    handle_timed daemon lat
-                      (mk_req (Proto.Check { checkers = []; engine; prune; budget = None }))
-                  in
-                  ( member_str "verdicts" q_resp = fresh_verdicts !reference ~engine ~prune "safecast",
-                    member_str "report" c_resp = fresh_report !reference ~engine ~prune ))
-            in
-            if not (q_eq && c_eq) then all_equal := false;
-            let qps = 2.0 /. Float.max 1e-9 wall in
-            Bm.row artefact ~bench ~engine
-              [
-                ("phase", Bm.Json.String "equivalence");
-                ("prune", Bm.Json.Bool prune);
-                ("epoch", Bm.Json.String epoch_label);
-                ("requests", Bm.Json.Int 2);
-                ("query_equal", Bm.Json.Bool q_eq);
-                ("check_equal", Bm.Json.Bool c_eq);
-                ("qps", Bm.Json.Float qps);
-                ("p50_ms", Bm.Json.Float (pctl_ms !lat 0.50));
-                ("p99_ms", Bm.Json.Float (pctl_ms !lat 0.99));
-              ];
-            Table.add_row t
-              [
-                engine;
-                (if prune then "on" else "off");
-                epoch_label;
-                (if q_eq then "equal" else "DIFFER");
-                (if c_eq then "equal" else "DIFFER");
-                Printf.sprintf "%.0f" qps;
-                Printf.sprintf "%.2f" (pctl_ms !lat 0.99);
-              ])
-          [ false; true ])
+        let lat = ref [] in
+        let (q_eq, c_eq), wall =
+          Stats.time (fun () ->
+              let q_resp = handle_timed daemon lat (query_req ~engine "safecast") in
+              let c_resp =
+                handle_timed daemon lat (mk_req (Proto.Check { checkers = []; engine; budget = None }))
+              in
+              ( member_str "verdicts" q_resp = fresh_verdicts !reference ~engine "safecast",
+                member_str "report" c_resp = fresh_report !reference ~engine ))
+        in
+        if not (q_eq && c_eq) then all_equal := false;
+        let qps = 2.0 /. Float.max 1e-9 wall in
+        Bm.row artefact ~bench ~engine
+          [
+            ("phase", Bm.Json.String "equivalence");
+            ("epoch", Bm.Json.String epoch_label);
+            ("requests", Bm.Json.Int 2);
+            ("query_equal", Bm.Json.Bool q_eq);
+            ("check_equal", Bm.Json.Bool c_eq);
+            ("qps", Bm.Json.Float qps);
+            ("p50_ms", Bm.Json.Float (pctl_ms !lat 0.50));
+            ("p99_ms", Bm.Json.Float (pctl_ms !lat 0.99));
+          ];
+        Table.add_row t
+          [
+            engine;
+            epoch_label;
+            (if q_eq then "equal" else "DIFFER");
+            (if c_eq then "equal" else "DIFFER");
+            Printf.sprintf "%.0f" qps;
+            Printf.sprintf "%.2f" (pctl_ms !lat 0.99);
+          ])
       (Engine.names ())
   in
   matrix "0";
@@ -1622,7 +1456,7 @@ let run_serve_tput ~artefact ~bench ~requests ~edit_every () =
   let workload seed n =
     let rng = Pts_util.Prng.create seed in
     List.init n (fun i ->
-        serve_query ~engine:"dynsum" ~prune:false
+        serve_query ~engine:"dynsum"
           ~client_id:(Printf.sprintf "c%d" (i mod 4))
           (Pts_util.Prng.weighted rng skew))
   in
@@ -1694,23 +1528,15 @@ let run_serve_tput ~artefact ~bench ~requests ~edit_every () =
       ];
     qps
   in
-  (* cold vs warm: one round over every distinct query request (each
-     client, both prune modes). Cold answers each request on its own
+  (* cold vs warm: one round over every distinct query request (one per
+     client). Cold answers each request on its own
      fresh daemon — the derivation cost a one-shot invocation pays,
      with no cross-request reuse (PAG load excluded, so this still
      understates cold start). Warm replays the identical round on the
      long-lived daemon after it has served the round once, so every
      answer draws on the persistent tier. The sustained pass then runs
      the mixed skewed workload with interleaved edit bursts. *)
-  let round =
-    List.concat_map
-      (fun (key, _) ->
-        [
-          serve_query ~engine:"dynsum" ~prune:false key;
-          serve_query ~engine:"dynsum" ~prune:true key;
-        ])
-      Daemon.clients
-  in
+  let round = List.map (fun (key, _) -> serve_query ~engine:"dynsum" key) Daemon.clients in
   let cold_qps = phase_row "cold" (List.map (fun rq -> (fresh (), rq)) round) ~edits:false in
   List.iter (fun rq -> ignore (Daemon.handle d rq)) round;
   let warm_qps = phase_row "warm" (List.map (fun rq -> (d, rq)) round) ~edits:false in
@@ -1887,8 +1713,6 @@ let () =
       ("scale", scale);
       ("parallel", parallel);
       ("parallel_smoke", parallel_smoke);
-      ("prune", prune);
-      ("prune_smoke", prune_smoke);
       ("taint", taint);
       ("taint_smoke", taint_smoke);
       ("incr", incr);

@@ -76,17 +76,6 @@ let trace_arg =
     value & opt (some string) None
     & info [ "trace" ] ~docv:"FILE" ~doc:"Write a JSONL trace of engine events to $(docv).")
 
-let prune_arg =
-  Arg.(
-    value
-    & vflag false
-        [
-          ( true,
-            info [ "prune" ]
-              ~doc:"Prune the CFL search with the Andersen oracle (answers unchanged)." );
-          (false, info [ "no-prune" ] ~doc:"Disable Andersen-guided pruning (default).");
-        ])
-
 let metrics_arg =
   Arg.(
     value & flag
@@ -206,10 +195,10 @@ let stats_cmd lang file bench =
 let ir_cmd lang file bench =
   with_pipeline ?lang file bench (fun pl -> Format.printf "%a@." Ir.pp_program pl.Pipeline.prog)
 
-let query_cmd lang file bench meth var engine_name budget prune trace metrics =
+let query_cmd lang file bench meth var engine_name budget trace metrics =
   with_pipeline ?lang file bench (fun pl ->
       with_trace trace (fun sink ->
-          let conf = Engine.conf ~budget_limit:budget ~prune () in
+          let conf = Engine.conf ~budget_limit:budget () in
           let engine = Engine.create ~conf ~trace:sink engine_name pl.Pipeline.pag in
           match Pipeline.find_local pl ~meth_pretty:meth ~var with
           | exception Not_found ->
@@ -238,13 +227,13 @@ let query_cmd lang file bench meth var engine_name budget prune trace metrics =
    path below because the trace plumbing differs (a shared mutex-guarded
    writer instead of one sink) and per-domain reports replace the single
    engine's counters. *)
-let client_par_cmd lang file bench client_key engine_name budget prune cache_file trace metrics vjson jobs
+let client_par_cmd lang file bench client_key engine_name budget cache_file trace metrics vjson jobs
     rounds =
   with_pipeline ?lang file bench (fun pl ->
       let cname, queries_of = List.assoc client_key clients in
       if cache_file <> None then
         Printf.eprintf "warning: --cache is ignored in parallel batch mode\n";
-      let conf = Engine.conf ~budget_limit:budget ~prune () in
+      let conf = Engine.conf ~budget_limit:budget () in
       let writer = Option.map Trace.writer_to_file trace in
       let queries = queries_of pl in
       let qarr =
@@ -329,16 +318,16 @@ let client_par_cmd lang file bench client_key engine_name budget prune cache_fil
                   );
                 ])))
 
-let client_cmd lang file bench client_key engine_name budget prune cache_file trace metrics vjson jobs
+let client_cmd lang file bench client_key engine_name budget cache_file trace metrics vjson jobs
     rounds =
   if jobs <> 1 || rounds <> 1 then
-    client_par_cmd lang file bench client_key engine_name budget prune cache_file trace metrics vjson jobs
+    client_par_cmd lang file bench client_key engine_name budget cache_file trace metrics vjson jobs
       rounds
   else
   with_pipeline ?lang file bench (fun pl ->
       with_trace trace (fun sink ->
           let cname, queries_of = List.assoc client_key clients in
-          let conf = Engine.conf ~budget_limit:budget ~prune () in
+          let conf = Engine.conf ~budget_limit:budget () in
           (* with --cache, a DYNSUM session persists its summaries across runs *)
           let dynsum_session =
             match cache_file with
@@ -390,10 +379,10 @@ let client_cmd lang file bench client_key engine_name budget prune cache_file tr
           | None -> ());
           if metrics then print_metrics [ (None, engine) ]))
 
-let compare_cmd lang file bench budget prune trace metrics =
+let compare_cmd lang file bench budget trace metrics =
   with_pipeline ?lang file bench (fun pl ->
       with_trace trace (fun sink ->
-      let conf = Engine.conf ~budget_limit:budget ~prune () in
+      let conf = Engine.conf ~budget_limit:budget () in
       let t =
         Table.create
           [
@@ -432,9 +421,9 @@ let compare_cmd lang file bench budget prune trace metrics =
       Table.print t;
       if metrics then print_metrics (List.rev !used)))
 
-let alias_cmd lang file bench meth var1 var2 engine_name budget prune =
+let alias_cmd lang file bench meth var1 var2 engine_name budget =
   with_pipeline ?lang file bench (fun pl ->
-      let conf = Engine.conf ~budget_limit:budget ~prune () in
+      let conf = Engine.conf ~budget_limit:budget () in
       let engine = Engine.create ~conf engine_name pl.Pipeline.pag in
       let node v =
         match Pipeline.find_local pl ~meth_pretty:meth ~var:v with
@@ -449,10 +438,10 @@ let alias_cmd lang file bench meth var1 var2 engine_name budget prune =
         | Alias.May -> "may-alias"
         | Alias.Unknown -> "unknown (budget exceeded)"
       in
-      let pag = if prune then Some pl.Pipeline.pag else None in
+      let pag = pl.Pipeline.pag in
       Printf.printf "%s ~ %s: %s (with heap contexts), %s (sites only)\n" var1 var2
-        (show (Alias.may_alias ?pag engine x y))
-        (show (Alias.may_alias_sites ?pag engine x y)))
+        (show (Alias.may_alias pag engine x y))
+        (show (Alias.may_alias_sites pag engine x y)))
 
 let why_cmd lang file bench meth var site =
   with_pipeline ?lang file bench (fun pl ->
@@ -472,10 +461,10 @@ let why_cmd lang file bench meth var site =
 (* [run] is the quickstart driver: compile, answer every client's query
    set with one engine, then close the loop with the Devirtopt pass and
    report what the analysis let it rewrite. *)
-let run_cmd lang file bench engine_name budget prune metrics =
+let run_cmd lang file bench engine_name budget metrics =
   with_pipeline ?lang file bench (fun pl ->
       let prog = pl.Pipeline.prog in
-      let conf = Engine.conf ~budget_limit:budget ~prune () in
+      let conf = Engine.conf ~budget_limit:budget () in
       Printf.printf "%s program: %d methods (%d reachable), %d allocation sites, %d call sites\n"
         (Loc.lang_name prog.Ir.lang)
         (Array.length prog.Ir.methods)
@@ -541,7 +530,7 @@ let check_source file bench tflows tclean tkill tweak =
     Printf.eprintf "error: either FILE or --bench NAME is required\n";
     exit 2
 
-let check_cmd lang file bench tflows tclean tkill tweak checker_names engine_name budget prune jobs
+let check_cmd lang file bench tflows tclean tkill tweak checker_names engine_name budget jobs
     rounds fail_on report_json metrics =
   let module Check = Pts_clients.Check in
   let module Diag = Pts_clients.Diag in
@@ -571,7 +560,7 @@ let check_cmd lang file bench tflows tclean tkill tweak checker_names engine_nam
             exit 2)
         names
   in
-  let conf = Engine.conf ~budget_limit:budget ~prune () in
+  let conf = Engine.conf ~budget_limit:budget () in
   let opts =
     {
       Check.o_engine = engine_name;
@@ -622,11 +611,10 @@ let check_cmd lang file bench tflows tclean tkill tweak checker_names engine_nam
       (to_string
          (Obj
             [
-              ("schema", String "ptsto.check-metrics/1");
+              ("schema", String "ptsto.check-metrics/2");
               ("engine", String engine_name);
               ("jobs", Int jobs);
               ("rounds", Int rounds);
-              ("prune", Bool prune);
               ("points", Int report.Check.r_points);
               ("unique_nodes", Int report.Check.r_unique_nodes);
               ("dedup_hits", Int report.Check.r_dedup_hits);
@@ -770,7 +758,7 @@ let query_t =
   let var = Arg.(required & opt (some string) None & info [ "var"; "v" ] ~docv:"V" ~doc:"Variable name.") in
   Cmd.v (Cmd.info "query" ~doc:"Answer one points-to query")
     Term.(
-      const query_cmd $ lang_arg $ file_arg $ bench_arg $ meth $ var $ engine_arg $ budget_arg $ prune_arg
+      const query_cmd $ lang_arg $ file_arg $ bench_arg $ meth $ var $ engine_arg $ budget_arg
       $ trace_arg $ metrics_arg)
 
 let client_t =
@@ -810,12 +798,12 @@ let client_t =
   in
   Cmd.v (Cmd.info "client" ~doc:"Run a client's query set")
     Term.(
-      const client_cmd $ lang_arg $ file_arg $ bench_arg $ client $ engine_arg $ budget_arg $ prune_arg
+      const client_cmd $ lang_arg $ file_arg $ bench_arg $ client $ engine_arg $ budget_arg
       $ cache $ trace_arg $ metrics_arg $ vjson $ jobs $ rounds)
 
 let compare_t =
   Cmd.v (Cmd.info "compare" ~doc:"All engines on all clients")
-    Term.(const compare_cmd $ lang_arg $ file_arg $ bench_arg $ budget_arg $ prune_arg $ trace_arg $ metrics_arg)
+    Term.(const compare_cmd $ lang_arg $ file_arg $ bench_arg $ budget_arg $ trace_arg $ metrics_arg)
 
 let gen_t =
   let bench =
@@ -867,8 +855,7 @@ let alias_t =
   let var2 = Arg.(required & opt (some string) None & info [ "y" ] ~docv:"Y" ~doc:"Second variable.") in
   Cmd.v (Cmd.info "alias" ~doc:"May two variables alias?")
     Term.(
-      const alias_cmd $ lang_arg $ file_arg $ bench_arg $ meth $ var1 $ var2 $ engine_arg $ budget_arg
-      $ prune_arg)
+      const alias_cmd $ lang_arg $ file_arg $ bench_arg $ meth $ var1 $ var2 $ engine_arg $ budget_arg)
 
 let why_t =
   let meth =
@@ -946,12 +933,12 @@ let check_t =
       & info [ "report-json" ]
           ~doc:
             "Print the machine-readable report as one JSON line (engine-independent: \
-             byte-identical across engines, job counts and pruning).")
+             byte-identical across engines and job counts).")
   in
   Cmd.v (Cmd.info "check" ~doc:"Run the demand-driven checkers and report diagnostics")
     Term.(
       const check_cmd $ lang_arg $ file_arg $ bench_arg $ taint_flows $ taint_clean $ taint_kill
-      $ taint_weak $ checker $ engine_arg $ budget_arg $ prune_arg $ jobs $ rounds $ fail_on
+      $ taint_weak $ checker $ engine_arg $ budget_arg $ jobs $ rounds $ fail_on
       $ report_json $ metrics_arg)
 
 let serve_t =
@@ -1021,7 +1008,7 @@ let run_t =
     (Cmd.info "run"
        ~doc:"Compile, run every client with one engine, and apply the Devirtopt rewrite")
     Term.(
-      const run_cmd $ lang_arg $ file_arg $ bench_arg $ engine_arg $ budget_arg $ prune_arg
+      const run_cmd $ lang_arg $ file_arg $ bench_arg $ engine_arg $ budget_arg
       $ metrics_arg)
 
 let dot_t =

@@ -308,8 +308,8 @@ let run ?roots (prog : Ir.program) =
     (Array.fold_left (fun acc r -> if r then acc + 1 else acc) 0 st.reachable);
   Stats.add stats "recursive_sccs" (Callgraph.mark_recursion cg pag);
   Stats.add stats "cg_edges" (Callgraph.edge_count cg);
-  (* hand the PAG-node prefix of the slab over as the demand kernel's
-     pruning oracle, then seal *)
+  (* hand the PAG-node prefix of the slab over as the PAG's Andersen
+     oracle, then seal *)
   Pag.set_oracle pag ~stride (Array.sub st.pts 0 (n_nodes * stride));
   Pag.freeze pag;
   { prog; pag; cg; reachable = st.reachable; stats }

@@ -26,7 +26,7 @@
     "Andersen without cycle collapse").
 
     [run] returns a frozen PAG with recursion-collapsed call sites and
-    the solution installed as the PAG's pruning oracle
+    the solution installed as the PAG's Andersen oracle
     (see {!Pag.set_oracle}), ready for the demand-driven analyses. The
     returned [t] keeps only the program, the PAG, the call graph, the
     reachable methods and the counters; the solver's working state is

@@ -101,7 +101,7 @@ let run ?(opts = default_opts) ~checkers pl =
           else begin
             (* No [satisfy]: early exit leaves resolved sets partial and
                engine-dependent; full answers are what make the report
-               byte-identical across engines, jobs and pruning. *)
+               byte-identical across engines and jobs. *)
             let qs = Array.map (fun n -> Parsolve.query n) nodes in
             let res =
               Parsolve.run ~conf:opts.o_conf ~jobs:opts.o_jobs ~rounds:opts.o_rounds

@@ -15,8 +15,8 @@
     {!Parsolve} scheduler, and reads every point's verdict from the
     memoised outcome. Queries are issued {e without} [satisfy]: early
     exit leaves resolved sets partial and engine-dependent, and report
-    byte-identity across engines / jobs / pruning is an acceptance
-    criterion of the subsystem. *)
+    byte-identity across engines / jobs is an acceptance criterion of
+    the subsystem. *)
 
 type ctx = {
   cx_pl : Pipeline.t;
@@ -97,5 +97,5 @@ val max_severity : report -> Diag.severity option
 val report_json : report -> Trace.Json.t
 (** Machine-readable report, schema ["ptsto.check-report/1"]. Contains
     only engine-independent data (sorted findings and their counts), so
-    the serialised bytes are identical across engines, job counts and
-    pruning whenever the verdicts are. *)
+    the serialised bytes are identical across engines and job counts
+    whenever the verdicts are. *)

@@ -11,19 +11,16 @@ let with_sets (engine : Engine.engine) x y k =
    (the demand answers are subsets of the rows), so [Must_not] holds with
    no query at all. A shared singleton row would still need the precise
    heap contexts, so only disjointness short-circuits. *)
-let oracle_must_not pag x y =
-  match pag with Some pag -> Pag.oracle_disjoint pag x y | None -> false
-
-let may_alias ?pag engine x y =
+let may_alias pag engine x y =
   if x = y then May
-  else if oracle_must_not pag x y then Must_not
+  else if Pag.oracle_disjoint pag x y then Must_not
   else with_sets engine x y (fun a b -> if overlap a b then May else Must_not)
 
 let sites_overlap a b =
   let sa = Query.sites a and sb = Query.sites b in
   List.exists (fun s -> List.mem s sb) sa
 
-let may_alias_sites ?pag engine x y =
+let may_alias_sites pag engine x y =
   if x = y then May
-  else if oracle_must_not pag x y then Must_not
+  else if Pag.oracle_disjoint pag x y then Must_not
   else with_sets engine x y (fun a b -> if sites_overlap a b then May else Must_not)

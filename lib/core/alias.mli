@@ -13,15 +13,15 @@ type verdict =
   | May  (** sets intersect: possible alias *)
   | Unknown  (** a budget ran out *)
 
-val may_alias : ?pag:Pag.t -> Engine.engine -> Pag.node -> Pag.node -> verdict
-(** Full-precision comparison on (site, heap-context) targets. With
-    [?pag] (and an installed oracle, see {!Pag.set_oracle}), disjoint
-    Andersen rows answer [Must_not] without issuing any query — the
-    definite-negative fast path. *)
+val may_alias : Pag.t -> Engine.engine -> Pag.node -> Pag.node -> verdict
+(** Full-precision comparison on (site, heap-context) targets. When the
+    PAG carries an Andersen oracle (see {!Pag.set_oracle}), disjoint rows
+    answer [Must_not] without issuing any query — the definite-negative
+    fast path; without one every pair goes to the engine. *)
 
-val may_alias_sites : ?pag:Pag.t -> Engine.engine -> Pag.node -> Pag.node -> verdict
+val may_alias_sites : Pag.t -> Engine.engine -> Pag.node -> Pag.node -> verdict
 (** Coarser comparison on allocation sites only (ignores heap contexts);
     never more precise than {!may_alias}, useful as a sanity oracle.
-    Same [?pag] fast path. *)
+    Same oracle fast path. *)
 
 val overlap : Query.Target_set.t -> Query.Target_set.t -> bool

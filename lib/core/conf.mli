@@ -16,16 +16,12 @@ type t = {
           cycle cut around recursive heap structures (see {!Fstack}) *)
   max_field_depth : int; (** hard stack cap, a backstop (see {!Fstack}) *)
   overflow : overflow;
-  prune : bool;
-      (** consult the PAG's Andersen oracle to skip provably-fruitless
-          traversal states ({!Kernel.pruner}); answers are unchanged, only
-          the work done per query. No-op when the PAG has no oracle. *)
 }
 
 val default : t
 (** [{ budget_limit = 75_000; max_field_repeat = 2; max_field_depth = 64;
-       overflow = Widen; prune = false }]. *)
+       overflow = Widen }]. *)
 
 val make :
   ?budget_limit:int -> ?max_field_repeat:int -> ?max_field_depth:int -> ?overflow:overflow ->
-  ?prune:bool -> unit -> t
+  unit -> t

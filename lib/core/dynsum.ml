@@ -482,26 +482,14 @@ let stop_of_satisfy satisfy =
 let points_to_in t ?satisfy v c0 =
   Trace.emit t.sink (Trace.Query_start { engine = name; node = v });
   Budget.start_query t.budget;
-  (* The pruner applies only to the inter-procedural worklist here — the
-     expander computes/reuses PPTA summaries, which must stay prune-free
-     so the cache is identical whichever way the flag is set. *)
-  let prune = if t.conf.Conf.prune then Kernel.pruner t.pag ~root:v else None in
   let outcome =
-    if t.conf.Conf.prune && Pag.oracle_row_empty t.pag v then begin
-      (* definite-negative fast path: nothing flows to the root at all *)
-      Trace.emit t.sink (Trace.Counter { engine = name; name = "oracle_empty_root"; delta = 1 });
-      Query.Resolved Query.Target_set.empty
-    end
-    else
-      try
-        Query.Resolved
-          (Kernel.solve ?stop:(stop_of_satisfy satisfy) ?prune t.pag t.budget (expand t) v c0)
-      with Budget.Out_of_budget ->
-        Trace.emit t.sink
-          (Trace.Budget_exceeded { engine = name; node = v; steps = Budget.steps_this_query t.budget });
-        Query.Exceeded
+    try
+      Query.Resolved (Kernel.solve ?stop:(stop_of_satisfy satisfy) t.pag t.budget (expand t) v c0)
+    with Budget.Out_of_budget ->
+      Trace.emit t.sink
+        (Trace.Budget_exceeded { engine = name; node = v; steps = Budget.steps_this_query t.budget });
+      Query.Exceeded
   in
-  Kernel.report_pruner t.sink name prune;
   (match outcome with
   | Query.Resolved ts ->
     Trace.emit t.sink

@@ -9,7 +9,6 @@ type conf = Conf.t = {
   max_field_repeat : int;
   max_field_depth : int;
   overflow : overflow;
-  prune : bool;
 }
 
 let default_conf = Conf.default

@@ -25,18 +25,15 @@ type conf = Conf.t = {
           cycle cut around recursive heap structures (see {!Fstack}) *)
   max_field_depth : int; (** hard stack cap, a backstop (see {!Fstack}) *)
   overflow : overflow;
-  prune : bool;
-      (** consult the PAG's Andersen oracle to skip provably-fruitless
-          traversal states; answers are unchanged (see {!Kernel.pruner}) *)
 }
 
 val default_conf : conf
 (** [{ budget_limit = 75_000; max_field_repeat = 2; max_field_depth = 64;
-       overflow = Widen; prune = false }]. *)
+       overflow = Widen }]. *)
 
 val conf :
   ?budget_limit:int -> ?max_field_repeat:int -> ?max_field_depth:int -> ?overflow:overflow ->
-  ?prune:bool -> unit -> conf
+  unit -> conf
 
 (** {2 Context stacks (call-site ids)} *)
 

@@ -9,9 +9,6 @@ let sym_is_load sym = sym land 1 = 0
 
 let rec take n = function [] -> [] | x :: tl -> if n <= 0 then [] else x :: take (n - 1) tl
 
-(* the marker only ever sits at the bottom, so a linear scan suffices *)
-let is_widened f = Hstack.fold (fun w x -> w || x = unknown_tail) false f
-
 let occurrences g f = Hstack.fold (fun n x -> if x = g then n + 1 else n) 0 f
 
 let push conf f g =

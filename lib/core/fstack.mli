@@ -55,5 +55,3 @@ val pop_match : Pts_util.Hstack.t -> int -> Pts_util.Hstack.t option
 
 val may_be_empty : Pts_util.Hstack.t -> bool
 (** True for the empty stack and for a bare unknown tail. *)
-
-val is_widened : Pts_util.Hstack.t -> bool

@@ -81,71 +81,6 @@ module State_key = struct
     node lor (sbit lsl l.node_bits) lor (id lsl (l.node_bits + 1))
 end
 
-(* ------------------------- Andersen pruning ------------------------- *)
-
-(* A per-query view of the PAG's Andersen oracle. Soundness of the two
-   cuts (see kernel.mli); both are skipped for widened field stacks,
-   where the traversal itself over-approximates and pruning could shrink
-   the (equally over-approximate) answer the unpruned engine gives. *)
-type pruner = {
-  pr_pag : Pag.t;
-  pr_root : Pag.node;
-  mutable pr_pruned : int;
-  mutable pr_checked : int;
-}
-
-let pruner pag ~root =
-  if Pag.has_oracle pag then Some { pr_pag = pag; pr_root = root; pr_pruned = 0; pr_checked = 0 }
-  else None
-
-let should_prune pr u f s =
-  pr.pr_checked <- pr.pr_checked + 1;
-  if Fstack.is_widened f then false
-  else if Pag.oracle_row_empty pr.pr_pag u then begin
-    pr.pr_pruned <- pr.pr_pruned + 1;
-    true
-  end
-  else
-    match s with
-    | S1 when Hstack.is_empty f ->
-      if Pag.oracle_disjoint pr.pr_pag u pr.pr_root then begin
-        pr.pr_pruned <- pr.pr_pruned + 1;
-        true
-      end
-      else false
-    | S1 | S2 -> false
-
-(* Match-edge cuts: the one place the demand side is strictly coarser
-   than Andersen. A field-based match edge for [g] assumes every site
-   ever stored to [g] may surface at the load destination; the oracle
-   knows which of them actually reach it. Filtering here only changes
-   unconverged REFINEPTS passes — the pass a query returns crosses no
-   match edges, so the final answer is untouched. *)
-
-let prune_match_site pr ~dst site =
-  pr.pr_checked <- pr.pr_checked + 1;
-  if Pag.oracle_mem pr.pr_pag dst site then false
-  else begin
-    pr.pr_pruned <- pr.pr_pruned + 1;
-    true
-  end
-
-let prune_match_flow pr ~src x =
-  pr.pr_checked <- pr.pr_checked + 1;
-  if Pag.oracle_disjoint pr.pr_pag src x then begin
-    pr.pr_pruned <- pr.pr_pruned + 1;
-    true
-  end
-  else false
-
-let report_pruner sink engine = function
-  | None -> ()
-  | Some pr ->
-    if pr.pr_checked > 0 then
-      Trace.emit sink (Trace.Counter { engine; name = "prune_checks"; delta = pr.pr_checked });
-    if pr.pr_pruned > 0 then
-      Trace.emit sink (Trace.Counter { engine; name = "pruned_states"; delta = pr.pr_pruned })
-
 (* ---------------------------- row walking --------------------------- *)
 
 (* The one loop shape every traversal below uses: the node's base row on
@@ -176,7 +111,6 @@ type walk = {
   w_conf : Conf.t;
   w_budget : Budget.t;
   w_policy : policy;
-  w_prune : pruner option;
   w_observe : (Pag.node -> Hstack.t -> state -> unit) option;
   w_layout : State_key.layout;
   (* visited states as (state key, 0); harvested sites as (site, 1) and
@@ -238,31 +172,27 @@ let rec classify_loads policy g acc = function
 let rec go w v f s =
   if Pairset.add w.w_seen (State_key.pack w.w_layout ~node:v ~state:s ~id:(Hstack.id f)) 0
   then begin
-    (* prune before charging budget: a pruned state costs no steps *)
-    let pruned = match w.w_prune with Some pr -> should_prune pr v f s | None -> false in
-    if not pruned then begin
-      Budget.step w.w_budget;
-      (match w.w_observe with Some obs -> obs v f s | None -> ());
-      let pag = w.w_pag in
-      match s with
-      | S1 ->
-        (* v <-new- o: harvest the object, or flip direction to chase an
-           alias of v when fields are still pending (a widened stack may
-           be either, so it does both) *)
-        if Pag.View.has_new_in pag v then begin
-          if Fstack.may_be_empty f then iter_row w pag Pag.View.new_in v v f new_in_edge;
-          if not (Hstack.is_empty f) then go w v f S2
-        end;
-        iter_row w pag Pag.View.assign_in v v f assign_in_edge;
-        iter_row w pag Pag.View.load_in v v f load_in_edge;
-        if Pag.has_global_in pag v then w.w_frontier <- (v, f, S1) :: w.w_frontier
-      | S2 ->
-        iter_row w pag Pag.View.load_out v v f load_out_edge;
-        iter_row w pag Pag.View.assign_out v v f assign_out_edge;
-        iter_row w pag Pag.View.store_out v v f store_out_edge;
-        iter_row w pag Pag.View.store_in v v f store_in_edge;
-        if Pag.has_global_out pag v then w.w_frontier <- (v, f, S2) :: w.w_frontier
-    end
+    Budget.step w.w_budget;
+    (match w.w_observe with Some obs -> obs v f s | None -> ());
+    let pag = w.w_pag in
+    match s with
+    | S1 ->
+      (* v <-new- o: harvest the object, or flip direction to chase an
+         alias of v when fields are still pending (a widened stack may
+         be either, so it does both) *)
+      if Pag.View.has_new_in pag v then begin
+        if Fstack.may_be_empty f then iter_row w pag Pag.View.new_in v v f new_in_edge;
+        if not (Hstack.is_empty f) then go w v f S2
+      end;
+      iter_row w pag Pag.View.assign_in v v f assign_in_edge;
+      iter_row w pag Pag.View.load_in v v f load_in_edge;
+      if Pag.has_global_in pag v then w.w_frontier <- (v, f, S1) :: w.w_frontier
+    | S2 ->
+      iter_row w pag Pag.View.load_out v v f load_out_edge;
+      iter_row w pag Pag.View.assign_out v v f assign_out_edge;
+      iter_row w pag Pag.View.store_out v v f store_out_edge;
+      iter_row w pag Pag.View.store_in v v f store_in_edge;
+      if Pag.has_global_out pag v then w.w_frontier <- (v, f, S2) :: w.w_frontier
   end
 
 and new_in_edge w _ _ _ o = add_obj w (Pag.obj_site w.w_pag o)
@@ -280,11 +210,7 @@ and load_in_edge w v f g u =
        anywhere under the precomputed field-based approximation, with
        context and field stack cleared *)
     policy.note_match ~dst:v ~fld:g ~base:u;
-    let sites =
-      match w.w_prune with
-      | Some pr -> List.filter (fun site -> not (prune_match_site pr ~dst:v site)) (policy.match_pts g)
-      | None -> policy.match_pts g
-    in
+    let sites = policy.match_pts g in
     if Fstack.may_be_empty f then harvest_matches w sites;
     if not (Hstack.is_empty f) then add_jumps w (match_destinations w.w_pag sites) f S2
   end
@@ -300,21 +226,14 @@ and assign_out_edge w _ f _ x = go w x f S2
 
 (* b.g = v forwards: the chased value sinks into b.g — push store(g) and
    find aliases of the base b *)
-and store_out_edge w v f g b =
+and store_out_edge w _ f g b =
   let policy = w.w_policy in
   if policy.exact then push_store w f g b
   else begin
     let kinds = classify_loads policy g 0 (Pag.loads_of_field w.w_pag g) in
     (* unrefined loads of g: the value escapes into the field-based
        approximation and may surface at any of them *)
-    if kinds land 2 <> 0 then begin
-      let flows =
-        match w.w_prune with
-        | Some pr -> List.filter (fun x -> not (prune_match_flow pr ~src:v x)) (policy.match_flows g)
-        | None -> policy.match_flows g
-      in
-      add_jumps w flows f S2
-    end;
+    if kinds land 2 <> 0 then add_jumps w (policy.match_flows g) f S2;
     (* refined loads of g: worth the exact alias detour *)
     if kinds land 1 <> 0 then push_store w f g b
   end
@@ -365,7 +284,7 @@ let layout_for sc pag =
   end;
   sc.sc_layout
 
-let local_walk ?observe ?prune ~policy pag conf budget v0 f0 s0 =
+let local_walk ?observe ~policy pag conf budget v0 f0 s0 =
   let sc = Domain.DLS.get scratch_key in
   let owned = not sc.sc_busy in
   let seen =
@@ -382,7 +301,6 @@ let local_walk ?observe ?prune ~policy pag conf budget v0 f0 s0 =
       w_conf = conf;
       w_budget = budget;
       w_policy = policy;
-      w_prune = prune;
       w_observe = observe;
       w_layout = layout_for sc pag;
       w_seen = seen;
@@ -408,7 +326,6 @@ type expander = Pag.node -> Hstack.t -> state -> local_result
 type search = {
   q_pag : Pag.t;
   q_budget : Budget.t;
-  q_prune : pruner option;
   q_layout : State_key.layout;
   q_seen : Pairset.t; (* (state key, context id) *)
   (* FIFO worklist as parallel arrays; [q_head .. q_tail - 1] pending *)
@@ -447,15 +364,12 @@ let make_room q =
 let propagate q u f s c =
   if Pairset.add q.q_seen (State_key.pack q.q_layout ~node:u ~state:s ~id:(Hstack.id f)) (Hstack.id c)
   then begin
-    let pruned = match q.q_prune with Some pr -> should_prune pr u f s | None -> false in
-    if not pruned then begin
-      make_room q;
-      let i = q.q_tail in
-      q.q_node.(i) <- (2 * u) + (match s with S1 -> 0 | S2 -> 1);
-      q.q_f.(i) <- f;
-      q.q_c.(i) <- c;
-      q.q_tail <- i + 1
-    end
+    make_room q;
+    let i = q.q_tail in
+    q.q_node.(i) <- (2 * u) + (match s with S1 -> 0 | S2 -> 1);
+    q.q_f.(i) <- f;
+    q.q_c.(i) <- c;
+    q.q_tail <- i + 1
   end
 
 (* Global edges out of a frontier state [x], under context [c]. Traversing
@@ -520,7 +434,7 @@ let rec harvest results hctx = function
   | [] -> results
   | site :: rest -> harvest (Query.Target_set.add { Query.Target.site; hctx } results) hctx rest
 
-let solve ?stop ?prune pag budget (expand : expander) v c0 =
+let solve ?stop pag budget (expand : expander) v c0 =
   let sc = Domain.DLS.get scratch_key in
   let owned = not sc.sc_q_busy in
   let q =
@@ -528,7 +442,6 @@ let solve ?stop ?prune pag budget (expand : expander) v c0 =
       {
         q_pag = pag;
         q_budget = budget;
-        q_prune = prune;
         q_layout = layout_for sc pag;
         q_seen = seen;
         q_node = node;

@@ -62,59 +62,6 @@ module State_key : sig
       collision. *)
 end
 
-(** {2 Andersen-guided pruning}
-
-    A per-query view of the PAG's oracle (the whole-program Andersen
-    solution installed by {!Solver.run} via {!Pag.set_oracle}). Two cuts,
-    both checked {e before} budget is charged so pruning reduces step
-    counts:
-
-    - {e empty row}: no allocation flows to the node under the
-      over-approximation, so no flowsTo(-bar) path through it can harvest
-      anything — valid in both [S1] and [S2];
-    - {e root disjointness}: at an [S1] state with an {e empty} field
-      stack, any object harvested downstream flows to the current node
-      {e and} (being an answer) to the query root; disjoint oracle rows
-      refute that conjunction.
-
-    On a PAG built by Andersen itself these per-state cuts almost never
-    fire for exact traversals — every reachable state sits on real,
-    saturated edges, so the oracle cannot refute it (the demand side is
-    more precise only in the context/field-stack dimensions, invisible
-    to a flow-insensitive oracle). The cuts with measured bite act on
-    the one construct {e coarser} than Andersen, the field-based match
-    edges of an unconverged REFINEPTS pass:
-
-    - {e match-site filter} ([S1], unrefined load): of [match_pts g] —
-      every site ever stored to [g] anywhere — keep only sites the
-      oracle admits at the load destination;
-    - {e match-flow filter} ([S2], unrefined store): drop [match_flows
-      g] jump targets whose rows are disjoint from the traced value's.
-
-    Both only alter unconverged refinement passes: the pass a query
-    returns crosses no unrefined match edge, so final answers are
-    unchanged.
-
-    The per-state cuts are suppressed for widened field stacks: there the
-    traversal itself over-approximates, and pruning could shrink the
-    (equally widened) answer the unpruned engine gives, breaking
-    prune-on/off equality.
-
-    Pruning is per-query state and must never run inside summary
-    computation ({!Ppta.compute} takes no pruner): DYNSUM/STASUM
-    summaries are query-independent and shared, so a query-specific cut
-    would poison the cache for later queries. Engines thread the pruner
-    only through {!solve} and their own per-query local walks. *)
-
-type pruner
-
-val pruner : Pag.t -> root:Pag.node -> pruner option
-(** [None] when the PAG has no oracle — pruning silently disabled. *)
-
-val report_pruner : Trace.sink -> string -> pruner option -> unit
-(** Emit the pruner's non-zero tallies as the engine's ["prune_checks"]
-    and ["pruned_states"] counters (end of a query). *)
-
 (** {2 Context stacks (call-site ids)} *)
 
 val push_ctx : Pag.t -> Pts_util.Hstack.t -> int -> Pts_util.Hstack.t
@@ -167,14 +114,11 @@ val frontier_only : Pag.node -> Pts_util.Hstack.t -> state -> local_result
 
 val local_walk :
   ?observe:(Pag.node -> Pts_util.Hstack.t -> state -> unit) ->
-  ?prune:pruner ->
   policy:policy ->
   Pag.t -> Conf.t -> Budget.t -> Pag.node -> Pts_util.Hstack.t -> state -> local_result
 (** One local-edge-only traversal from a query state. With {!exact_policy}
     this is exactly Algorithm 3 (see {!Ppta.compute}, which wraps it).
     Consumes budget per newly visited state; [observe] sees each one.
-    [prune] cuts provably-fruitless states before they are charged —
-    never pass it from summary computation (see the pruning section).
     @raise Budget.Out_of_budget (also on field-stack overflow under
     [Abort]), in which case the partial result must not be cached. *)
 
@@ -187,12 +131,8 @@ type expander = Pag.node -> Pts_util.Hstack.t -> state -> local_result
 
 val solve :
   ?stop:(Query.Target_set.t -> bool) ->
-  ?prune:pruner ->
   Pag.t -> Budget.t -> expander -> Pag.node -> Pts_util.Hstack.t -> Query.Target_set.t
-(** Run the worklist from [(v, ε, S1, c0)] to exhaustion. [prune] drops
-    provably-fruitless states at enqueue time (inter-procedural expansion
-    only — the engine decides separately whether its expander prunes its
-    local walks, and summary-backed expanders must not). [stop] is
+(** Run the worklist from [(v, ε, S1, c0)] to exhaustion. [stop] is
     checked whenever the accumulated target set grows (and once on the
     empty set); when it returns [true] the loop returns the partial set
     immediately. {b Soundness caveat}: the accumulated set grows towards

@@ -180,20 +180,22 @@ let run ?(conf = Conf.default) ?trace_writer ?(jobs = 1) ?(rounds = 1) ?base
      computed in a {e finished, published} round, read by reference from
      all workers of later rounds (grown only here, between joins).
      Export is on demand: a round is published only when something will
-     read it — a later round of this call, or a tier the caller keeps.
+     read it — a later round of this call, or a tier the caller keeps —
+     and likewise the internal tier exists only when a later round will
+     read it, so a one-round call probes no empty table on every miss.
      [all_snaps] remembers every worker's (possibly unforced) snapshot
      for the final pool. *)
+  let rounds = min rounds (max n 1) in
   let caller_tier = Option.is_some base in
   let base =
     match base with
     | Some _ as b -> if engine_name = "dynsum" then b else None
-    | None -> if engine_name = "dynsum" then Some (Dynsum.base_create ()) else None
+    | None -> if engine_name = "dynsum" && rounds > 1 then Some (Dynsum.base_create ()) else None
   in
   let all_snaps = ref [] in
   let produced = ref 0 in
   let producers = ref 0 in
   let total_steals = ref 0 in
-  let rounds = min rounds (max n 1) in
   let (), wall_seconds =
     Stats.time (fun () ->
         for round = 0 to rounds - 1 do

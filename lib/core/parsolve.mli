@@ -92,7 +92,8 @@ type result = {
   base_hits : int;
       (** base-tier lookup hits; for a caller-supplied [?base] these are
           its {e lifetime} tallies (delta across the call is the caller's
-          to take), for the internal tier they are per-run *)
+          to take), for the internal tier they are per-run. A one-round
+          call without [?base] builds no tier: all four counts are 0 *)
   base_misses : int;
   base_evictions : int;
   base_size : int;
@@ -124,8 +125,8 @@ val run :
     only — including per-steal {!Trace.Steal} and queue-depth events.
 
     [base] supplies an external (possibly size-bounded) summary tier to
-    read through and publish into, instead of the per-call tier built by
-    default; ignored for non-DYNSUM engines. Every round, the last
+    read through and publish into, instead of the per-call tier built
+    when [rounds > 1]; ignored for non-DYNSUM engines. Every round, the last
     included, is exported into it. The caller owns its
     freshness: the tier must describe the PAG as currently edited
     ({!Dynsum.base_invalidate} after every {!Pag.apply_edits}) and must

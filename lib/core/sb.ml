@@ -45,7 +45,7 @@ module Memo = Kernel.Key_tbl
    direction) — the policy is fixed for the pass, so a walk's result is
    too. This replaces the old nested formulation's "ad hoc caching within
    a query" and is what {!Trace.Summary_hit} means for this engine. *)
-let run_pass t ?prune ~flds_to_refine ~flds_seen v =
+let run_pass t ~flds_to_refine ~flds_seen v =
   let n = Pag.node_count t.pag in
   let policy =
     match t.mode with
@@ -73,31 +73,23 @@ let run_pass t ?prune ~flds_to_refine ~flds_seen v =
         r
       | None ->
         Trace.emit t.sink (Trace.Summary_miss { engine = t.ename; node = u });
-        let r = Kernel.local_walk ?prune ~policy t.pag t.conf t.budget u f s in
+        let r = Kernel.local_walk ~policy t.pag t.conf t.budget u f s in
         Memo.add memo key r;
         r
     end
   in
-  Kernel.solve ?prune t.pag t.budget expand v Hstack.empty
+  Kernel.solve t.pag t.budget expand v Hstack.empty
 
 let points_to t ?satisfy v : Query.outcome =
   Trace.emit t.sink (Trace.Query_start { engine = t.ename; node = v });
   Budget.start_query t.budget;
-  let prune = if t.conf.Conf.prune then Kernel.pruner t.pag ~root:v else None in
   let flds_to_refine = Edge_set.create 64 in
   let outcome =
-    if t.conf.Conf.prune && Pag.oracle_row_empty t.pag v then begin
-      (* definite-negative fast path: nothing flows to the root at all *)
-      Trace.emit t.sink
-        (Trace.Counter { engine = t.ename; name = "oracle_empty_root"; delta = 1 });
-      Query.Resolved Query.Target_set.empty
-    end
-    else
     try
       let rec iterate pass =
         Trace.emit t.sink (Trace.Refine_pass { engine = t.ename; node = v; pass });
         let flds_seen = Edge_set.create 64 in
-        let pts = run_pass t ?prune ~flds_to_refine ~flds_seen v in
+        let pts = run_pass t ~flds_to_refine ~flds_seen v in
         let satisfied = match satisfy with Some pred -> pred pts | None -> false in
         if satisfied then pts
         else if t.mode = No_refine || Edge_set.length flds_seen = 0 then pts
@@ -113,7 +105,6 @@ let points_to t ?satisfy v : Query.outcome =
            { engine = t.ename; node = v; steps = Budget.steps_this_query t.budget });
       Query.Exceeded
   in
-  Kernel.report_pruner t.sink t.ename prune;
   (match outcome with
   | Query.Resolved ts ->
     Trace.emit t.sink

@@ -153,25 +153,15 @@ let stop_of_satisfy satisfy =
 let points_to t ?satisfy v =
   Trace.emit t.sink (Trace.Query_start { engine = name; node = v });
   Budget.start_query t.budget;
-  (* Pruning applies only to the online worklist; the offline table and
-     any online summary backfill stay prune-free (query-independent). *)
-  let prune = if t.conf.Conf.prune then Kernel.pruner t.pag ~root:v else None in
   let outcome =
-    if t.conf.Conf.prune && Pag.oracle_row_empty t.pag v then begin
-      Trace.emit t.sink (Trace.Counter { engine = name; name = "oracle_empty_root"; delta = 1 });
-      Query.Resolved Query.Target_set.empty
-    end
-    else
-      try
-        Query.Resolved
-          (Kernel.solve ?stop:(stop_of_satisfy satisfy) ?prune t.pag t.budget (expand t) v
-             Hstack.empty)
-      with Budget.Out_of_budget ->
-        Trace.emit t.sink
-          (Trace.Budget_exceeded { engine = name; node = v; steps = Budget.steps_this_query t.budget });
-        Query.Exceeded
+    try
+      Query.Resolved
+        (Kernel.solve ?stop:(stop_of_satisfy satisfy) t.pag t.budget (expand t) v Hstack.empty)
+    with Budget.Out_of_budget ->
+      Trace.emit t.sink
+        (Trace.Budget_exceeded { engine = name; node = v; steps = Budget.steps_this_query t.budget });
+      Query.Exceeded
   in
-  Kernel.report_pruner t.sink name prune;
   (match outcome with
   | Query.Resolved ts ->
     Trace.emit t.sink

@@ -52,7 +52,7 @@ module Memo = Kernel.Key_tbl
    exactly, local walks memoised per (node, fstack, state). [budget] is
    passed explicitly so refinement sub-queries can run on a private
    allowance without corrupting the engine's per-query accounting. *)
-let kernel_pts t ?prune budget v =
+let kernel_pts t budget v =
   let memo = Memo.create 256 in
   let expand u f s =
     if not (Pag.has_local_edges t.pag u) then Kernel.frontier_only u f s
@@ -64,12 +64,12 @@ let kernel_pts t ?prune budget v =
         r
       | None ->
         Trace.emit t.sink (Trace.Summary_miss { engine = ename; node = u });
-        let r = Kernel.local_walk ?prune ~policy:Kernel.exact_policy t.pag t.conf budget u f s in
+        let r = Kernel.local_walk ~policy:Kernel.exact_policy t.pag t.conf budget u f s in
         Memo.add memo key r;
         r
     end
   in
-  Kernel.solve ?prune t.pag budget expand v Hstack.empty
+  Kernel.solve t.pag budget expand v Hstack.empty
 
 (* ------------------- stage two: value-flow refinement ----------------- *)
 
@@ -298,35 +298,25 @@ let survivors t v =
 let points_to t ?satisfy v : Query.outcome =
   Trace.emit t.sink (Trace.Query_start { engine = ename; node = v });
   Budget.start_query t.budget;
-  let prune = if t.conf.Conf.prune then Kernel.pruner t.pag ~root:v else None in
   let outcome =
-    if t.conf.Conf.prune && Pag.oracle_row_empty t.pag v then begin
-      Trace.emit t.sink (Trace.Counter { engine = ename; name = "oracle_empty_root"; delta = 1 });
-      Query.Resolved Query.Target_set.empty
-    end
-    else
-      try
-        Trace.emit t.sink (Trace.Refine_pass { engine = ename; node = v; pass = 1 });
-        let base = kernel_pts t ?prune t.budget v in
-        let satisfied = match satisfy with Some pred -> pred base | None -> false in
-        if satisfied || Query.Target_set.is_empty base then Query.Resolved base
-        else begin
-          Trace.emit t.sink (Trace.Refine_pass { engine = ename; node = v; pass = 2 });
-          match survivors t v with
-          | None -> Query.Resolved base
-          | Some sites ->
-            Query.Resolved
-              (Query.Target_set.filter
-                 (fun tgt -> Int_set.mem tgt.Query.Target.site sites)
-                 base)
-        end
-      with Budget.Out_of_budget ->
-        Trace.emit t.sink
-          (Trace.Budget_exceeded
-             { engine = ename; node = v; steps = Budget.steps_this_query t.budget });
-        Query.Exceeded
+    try
+      Trace.emit t.sink (Trace.Refine_pass { engine = ename; node = v; pass = 1 });
+      let base = kernel_pts t t.budget v in
+      let satisfied = match satisfy with Some pred -> pred base | None -> false in
+      if satisfied || Query.Target_set.is_empty base then Query.Resolved base
+      else begin
+        Trace.emit t.sink (Trace.Refine_pass { engine = ename; node = v; pass = 2 });
+        match survivors t v with
+        | None -> Query.Resolved base
+        | Some sites ->
+          Query.Resolved
+            (Query.Target_set.filter (fun tgt -> Int_set.mem tgt.Query.Target.site sites) base)
+      end
+    with Budget.Out_of_budget ->
+      Trace.emit t.sink
+        (Trace.Budget_exceeded { engine = ename; node = v; steps = Budget.steps_this_query t.budget });
+      Query.Exceeded
   in
-  Kernel.report_pruner t.sink ename prune;
   (match outcome with
   | Query.Resolved ts ->
     Trace.emit t.sink

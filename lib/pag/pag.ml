@@ -78,7 +78,7 @@ type t = {
      structure is genuinely read-only (safe to share across domains) *)
   loads_by_field : (fld, (node * node) list) Hashtbl.t;
   stores_by_field : (fld, (node * node) list) Hashtbl.t;
-  (* Andersen pruning oracle: flat per-node bitset rows over allocation
+  (* Andersen oracle: flat per-node bitset rows over allocation
      sites, [oracle_stride] words per node; stride 0 means no oracle is
      installed and every accessor answers conservatively. *)
   mutable oracle : int array;
@@ -673,7 +673,7 @@ module View = struct
       live s.off.(n)
 end
 
-(* ------------------------- pruning oracle --------------------------- *)
+(* ------------------------- Andersen oracle -------------------------- *)
 
 let oracle_word_bits = Sys.int_size
 
@@ -942,7 +942,7 @@ let recompute_flags t n =
   Bytes.set t.flag_gout n (if gout then '\001' else '\000')
 
 (* Insertions can grow true points-to sets, so the frozen Andersen rows
-   may under-approximate — unsound for pruning — on every node forward-
+   may under-approximate — unsound to refute with — on every node forward-
    reachable from the insertion's value destination in the field-based
    flow graph (copies, calls/returns without context, store(f) jumping to
    every load of f: a superset of Andersen's propagation paths). Those

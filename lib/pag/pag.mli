@@ -179,18 +179,20 @@ val has_global_in : t -> node -> bool
 
 val has_global_out : t -> node -> bool
 
-(** {2 Pruning oracle}
+(** {2 Andersen oracle}
 
     An optional flat slab mapping every PAG node to an over-approximate
     allocation-site set (its Andersen points-to set; object nodes map to
     their own site, pointer-free nodes to the empty set). Installed once
     by the whole-program pre-analysis {e before} {!freeze}, after which
-    it is immutable and safe to share read-only across domains. The
-    demand kernel consults it to skip traversal states that provably
-    cannot reach the sought allocation — see {!Kernel.pruner}.
+    it is immutable and safe to share read-only across domains. Its
+    readers are SUPA's strong-update admission ({!oracle_singleton}),
+    the alias client's disjoint-row answer, the taint pre-filter,
+    admission pricing and edit invalidation.
 
-    Every accessor answers conservatively (prune nothing) when no oracle
-    is installed, so hand-built and CHA-only graphs keep working. *)
+    Every accessor answers conservatively (refutes nothing) when no
+    oracle is installed, so hand-built and CHA-only graphs keep
+    working. *)
 
 val oracle_row_words : t -> int
 (** Words per oracle row: [ceil (sites / Sys.int_size)], at least 1. *)

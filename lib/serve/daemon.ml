@@ -136,7 +136,7 @@ let check_engine name =
 
 let ( let* ) r f = match r with Error (c, m) -> Error (c, m) | Ok v -> f v
 
-let run_query t ~client ~engine ~prune ~budget =
+let run_query t ~client ~engine ~budget =
   let* () = check_engine engine in
   let* budget_limit = budget_of t budget in
   let* cname, queries_of =
@@ -144,7 +144,7 @@ let run_query t ~client ~engine ~prune ~budget =
     | None -> Error ("bad_request", Printf.sprintf "unknown client %S" client)
     | Some c -> Ok c
   in
-  let conf = Engine.conf ~budget_limit ~prune () in
+  let conf = Engine.conf ~budget_limit () in
   let queries = queries_of t.pl in
   let qarr =
     Array.of_list
@@ -167,7 +167,7 @@ let run_query t ~client ~engine ~prune ~budget =
       ("base", base_json t);
     ]
 
-let run_check t ~names ~engine ~prune ~budget =
+let run_check t ~names ~engine ~budget =
   let* () = check_engine engine in
   let* budget_limit = budget_of t budget in
   let* checkers =
@@ -185,7 +185,7 @@ let run_check t ~names ~engine ~prune ~budget =
   let opts =
     {
       Check.o_engine = engine;
-      o_conf = Engine.conf ~budget_limit ~prune ();
+      o_conf = Engine.conf ~budget_limit ();
       o_jobs = t.cfg.c_jobs;
       o_rounds = t.cfg.c_rounds;
       o_base = Some t.base;
@@ -276,10 +276,9 @@ let dispatch t rq =
     | Error (code, msg) -> Proto.error ~id code msg
   in
   match rq.Proto.rq_op with
-  | Proto.Query { client; engine; prune; budget } ->
-    finish "query" (run_query t ~client ~engine ~prune ~budget)
-  | Proto.Check { checkers; engine; prune; budget } ->
-    finish "check" (run_check t ~names:checkers ~engine ~prune ~budget)
+  | Proto.Query { client; engine; budget } -> finish "query" (run_query t ~client ~engine ~budget)
+  | Proto.Check { checkers; engine; budget } ->
+    finish "check" (run_check t ~names:checkers ~engine ~budget)
   | Proto.Edit { edits; seed } -> finish "edit" (run_edit t ~edits ~seed)
   | Proto.Stats -> finish "stats" (run_stats t)
   | Proto.Shutdown ->

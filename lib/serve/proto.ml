@@ -1,8 +1,8 @@
 module J = Trace.Json
 
 type op =
-  | Query of { client : string; engine : string; prune : bool; budget : int option }
-  | Check of { checkers : string list; engine : string; prune : bool; budget : int option }
+  | Query of { client : string; engine : string; budget : int option }
+  | Check of { checkers : string list; engine : string; budget : int option }
   | Edit of { edits : int; seed : int }
   | Stats
   | Shutdown
@@ -20,7 +20,6 @@ let op_name = function
 
 let str_member k j = match J.member k j with Some (J.String s) -> Some s | _ -> None
 let int_member k j = match J.member k j with Some (J.Int i) -> Some i | _ -> None
-let bool_member k j = match J.member k j with Some (J.Bool b) -> Some b | _ -> None
 
 let of_json j =
   match J.member "op" j with
@@ -29,22 +28,21 @@ let of_json j =
     let id = Option.value ~default:J.Null (J.member "id" j) in
     let client_id = Option.value ~default:"default" (str_member "client_id" j) in
     let engine = Option.value ~default:"dynsum" (str_member "engine" j) in
-    let prune = Option.value ~default:false (bool_member "prune" j) in
     let budget = int_member "budget" j in
     let mk op = Ok { rq_id = id; rq_client = client_id; rq_op = op } in
     match opname with
     | "query" -> (
       match str_member "client" j with
       | None -> Error ("bad_request", "query needs a \"client\"")
-      | Some client -> mk (Query { client; engine; prune; budget }))
+      | Some client -> mk (Query { client; engine; budget }))
     | "check" -> (
       match J.member "checkers" j with
-      | None -> mk (Check { checkers = []; engine; prune; budget })
+      | None -> mk (Check { checkers = []; engine; budget })
       | Some (J.List xs) -> (
         match
           List.map (function J.String s -> s | _ -> raise Exit) xs
         with
-        | names -> mk (Check { checkers = names; engine; prune; budget })
+        | names -> mk (Check { checkers = names; engine; budget })
         | exception Exit -> Error ("bad_request", "\"checkers\" must be a list of strings"))
       | Some _ -> Error ("bad_request", "\"checkers\" must be a list of strings"))
     | "edit" ->

@@ -5,7 +5,7 @@
     can match answers to questions) and a [client_id] (the admission
     controller's fair-share key). Operations:
 
-    - [{"op":"query","client":"safecast","engine":"dynsum","prune":false,
+    - [{"op":"query","client":"safecast","engine":"dynsum",
        "budget":75000}] — run a client's query set; the response embeds
       the canonical {!Pts_clients.Client.verdicts_json} object.
     - [{"op":"check","checkers":["nullderef"],...}] — run checkers; the
@@ -23,8 +23,8 @@
     ["shutting_down"]. *)
 
 type op =
-  | Query of { client : string; engine : string; prune : bool; budget : int option }
-  | Check of { checkers : string list; engine : string; prune : bool; budget : int option }
+  | Query of { client : string; engine : string; budget : int option }
+  | Check of { checkers : string list; engine : string; budget : int option }
       (** empty [checkers] means all registered checkers *)
   | Edit of { edits : int; seed : int }
   | Stats

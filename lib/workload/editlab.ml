@@ -10,7 +10,7 @@ module Check = Pts_clients.Check
    replayed burst-by-burst so even the oracle's conservative marks line
    up — and require the two worlds to agree: per-engine query outcomes
    must be [Query.equal_outcome] and [ptsto check] reports must be
-   byte-identical across engines x prune x jobs. The timing pair
+   byte-identical across engines x jobs. The timing pair
    (incremental re-query vs full rebuild) is what BENCH_incr reports. *)
 
 type burst_report = {
@@ -22,14 +22,14 @@ type burst_report = {
   b_rebuild_seconds : float;
       (** compile + Andersen + replay + fresh engines + answer queries *)
   b_hash_equal : bool;  (** graph hashes agree after replay *)
-  b_verdicts_equal : bool;  (** all engine x prune outcome vectors agree *)
+  b_verdicts_equal : bool;  (** all engines' outcome vectors agree *)
   b_reports_equal : bool;  (** check reports byte-identical, all configs *)
 }
 
 type result = {
   r_bench : string;
   r_queries : int;
-  r_engine_confs : int;  (** engine x prune configurations compared *)
+  r_engine_confs : int;  (** engine configurations compared *)
   r_report_runs : int;  (** check-report configurations compared per burst *)
   r_bursts : burst_report list;
   r_ok : bool;
@@ -41,23 +41,16 @@ type result = {
    incremental and rebuilt sides. *)
 let budget_limit = 2_000_000
 
-let conf_for ~prune name =
+let conf_for name =
   if String.equal name "stasum" then
     (* keep STASUM's offline enumeration bounded, as the benches do *)
-    Engine.conf ~budget_limit ~max_field_depth:4 ~overflow:Engine.Widen ~prune ()
-  else Engine.conf ~budget_limit ~prune ()
+    Engine.conf ~budget_limit ~max_field_depth:4 ~overflow:Engine.Widen ()
+  else Engine.conf ~budget_limit ()
 
 let engine_names = [ "norefine"; "refinepts"; "dynsum"; "stasum" ]
 
-let engine_confs =
-  List.concat_map
-    (fun name -> [ (name, false); (name, true) ])
-    engine_names
-
 let build_engines pag =
-  List.map
-    (fun (name, prune) -> Engine.create ~conf:(conf_for ~prune name) name pag)
-    engine_confs
+  List.map (fun name -> Engine.create ~conf:(conf_for name) name pag) engine_names
 
 (* Queries come from the real clients, not a synthetic load: every cast
    and every dereference receiver in the program. Generation is a pure
@@ -82,12 +75,12 @@ let answer engine queries =
 let vectors_equal a b =
   List.length a = List.length b && List.for_all2 Query.equal_outcome a b
 
-let report_string pl ~engine ~prune ~jobs =
+let report_string pl ~engine ~jobs =
   let opts =
     {
       Check.default_opts with
       Check.o_engine = engine;
-      o_conf = conf_for ~prune engine;
+      o_conf = conf_for engine;
       o_jobs = jobs;
     }
   in
@@ -95,14 +88,14 @@ let report_string pl ~engine ~prune ~jobs =
 
 let reports_agree ~jobs incr_pl rebuilt_pl =
   List.for_all
-    (fun (engine, prune) ->
+    (fun engine ->
       List.for_all
         (fun j ->
           String.equal
-            (report_string incr_pl ~engine ~prune ~jobs:j)
-            (report_string rebuilt_pl ~engine ~prune ~jobs:j))
+            (report_string incr_pl ~engine ~jobs:j)
+            (report_string rebuilt_pl ~engine ~jobs:j))
         jobs)
-    engine_confs
+    engine_names
 
 let now () = Unix.gettimeofday ()
 
@@ -173,8 +166,8 @@ let run ?(report_jobs = [ 1; 2; 4 ]) ?(progress = fun _ -> ()) ~bench ~bursts
   {
     r_bench = bench;
     r_queries = List.length queries;
-    r_engine_confs = List.length engine_confs;
-    r_report_runs = List.length engine_confs * List.length report_jobs;
+    r_engine_confs = List.length engine_names;
+    r_report_runs = List.length engine_names * List.length report_jobs;
     r_bursts = bursts_done;
     r_ok =
       List.for_all

@@ -7,7 +7,7 @@
     burst-by-burst, fresh engines). Correctness is pinned two ways:
     per-engine query outcomes must be {!Query.equal_outcome}, and
     [ptsto check] reports must serialise to byte-identical JSON across
-    all four engines x prune on/off x the given job counts. The timing
+    all four engines x the given job counts. The timing
     pair (incremental re-query vs full rebuild) is what [BENCH_incr]
     reports. *)
 
@@ -20,14 +20,14 @@ type burst_report = {
   b_rebuild_seconds : float;
       (** compile + Andersen + replay + fresh engines + answer queries *)
   b_hash_equal : bool;  (** graph hash and epoch agree after replay *)
-  b_verdicts_equal : bool;  (** all engine x prune outcome vectors agree *)
+  b_verdicts_equal : bool;  (** all engines' outcome vectors agree *)
   b_reports_equal : bool;  (** check reports byte-identical, all configs *)
 }
 
 type result = {
   r_bench : string;
   r_queries : int;
-  r_engine_confs : int;  (** engine x prune configurations compared *)
+  r_engine_confs : int;  (** engine configurations compared *)
   r_report_runs : int;  (** check-report configurations compared per burst *)
   r_bursts : burst_report list;
   r_ok : bool;  (** every burst passed every equality check *)

@@ -6,7 +6,7 @@
    program-wide. A scenario is either monomorphic (the query variable can
    reach exactly one non-null allocation site) or polymorphic (two sites),
    and the two renderings are built to have the same answer — so every
-   engine, with or without pruning, at any job count, must return the same
+   engine, at any job count, must return the same
    verdict for the same query on either half of the pair.
 
    The shapes deliberately exercise what each frontend lowers differently:

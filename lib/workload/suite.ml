@@ -122,7 +122,7 @@ let pair name =
 let pair_pipeline_cache : (string * Loc.lang, Pts_clients.Pipeline.t) Hashtbl.t = Hashtbl.create 6
 
 (* One analysed pipeline per pair half, memoised like [pipeline] — the
-   equivalence tests hit every engine x prune x jobs combination on the
+   equivalence tests hit every engine x jobs combination on the
    same halves, so rebuilding each time would dominate the suite. *)
 let pair_pipeline name lang =
   match Hashtbl.find_opt pair_pipeline_cache (name, lang) with

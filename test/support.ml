@@ -1,6 +1,6 @@
 (* Shared test support, linked into every test executable in this stanza.
 
-   The QCheck property suites (test_equiv, test_prune, and the
+   The QCheck property suites (test_equiv, test_andersen, and the
    cross-frontend tests) all draw small workload configurations from the
    same generator and need one frontend+Andersen run per distinct
    configuration: identical configs recur across properties, and each

@@ -256,6 +256,47 @@ let test_pinned_solution () =
         (solution_digest pl))
     Pts_workload.Suite.names
 
+(* ------------------- oracle vs the Andersen solver ------------------- *)
+
+(* The oracle installed on the PAG is the solver's own answer, packed:
+   every row predicate must agree with [Solver.points_to], and the
+   strong-update singleton test must withhold only summary sites. *)
+let prop_oracle_matches_solver =
+  QCheck.Test.make ~name:"oracle rows match Solver.points_to" ~count:8
+    (Support.config_arbitrary ~name:"oracle-prop")
+    (fun cfg ->
+      let pl = Support.build cfg in
+      let pag = pl.Pts_clients.Pipeline.pag in
+      let solver = pl.Pts_clients.Pipeline.solver in
+      let sites = ref 0 in
+      for n = 0 to Pag.node_count pag - 1 do
+        if Pag.is_obj pag n then incr sites
+      done;
+      let sites = !sites in
+      let ok = ref (Pag.has_oracle pag) in
+      for n = 0 to Pag.node_count pag - 1 do
+        let row = Pts_andersen.Solver.points_to solver n in
+        let card = ref 0 in
+        let only = ref (-1) in
+        for site = 0 to sites - 1 do
+          let expect = Pts_util.Bitset.mem row site in
+          if expect then begin
+            incr card;
+            only := site
+          end;
+          if Pag.oracle_mem pag n site <> expect then ok := false
+        done;
+        if Pag.oracle_row_empty pag n <> (!card = 0) then ok := false;
+        (match Pag.oracle_singleton pag n with
+        | Some s ->
+          if not (!card = 1 && Pts_util.Bitset.mem row s && not (Pag.site_is_summary pag s)) then
+            ok := false
+        | None ->
+          (* a singleton row must only be withheld for summary sites *)
+          if !card = 1 && not (Pag.site_is_summary pag !only) then ok := false)
+      done;
+      !ok)
+
 let () =
   Alcotest.run "andersen"
     [
@@ -274,4 +315,5 @@ let () =
           Alcotest.test_case "late edge into a cycle" `Quick test_late_edge_into_cycle;
           Alcotest.test_case "pinned suite solution" `Quick test_pinned_solution;
         ] );
+      ("properties", [ QCheck_alcotest.to_alcotest ~long:false prop_oracle_matches_solver ]);
     ]

@@ -1,9 +1,9 @@
 (* The checker subsystem's acceptance properties:
 
-   - the report JSON is byte-identical across all four engines, across
-     --jobs 1/2/4 and with pruning on or off (ISSUE 5's determinism
-     criterion — it holds because the driver queries without [satisfy]
-     and the report carries only engine-independent data);
+   - the report JSON is byte-identical across all four engines and
+     across --jobs 1/2/4 (the determinism criterion — it holds because
+     the driver queries without [satisfy] and the report carries only
+     engine-independent data);
    - on seeded-defect workloads the taint checker attains recall 1.0
      and flags no clean variant (ground truth from
      Genprog.generate_with_truth);
@@ -73,30 +73,21 @@ let build cfg =
 
 let checkers_for source = [ Pts_taint.Checker.checker ~spec:(Spec.of_source source) () ]
 
-let report_string ?(engine = "dynsum") ?(jobs = 1) ?(prune = false) source pl =
-  let conf = Engine.conf ~prune () in
-  let opts = { Check.default_opts with Check.o_engine = engine; o_jobs = jobs; o_conf = conf } in
+let report_string ?(engine = "dynsum") ?(jobs = 1) source pl =
+  let opts = { Check.default_opts with Check.o_engine = engine; o_jobs = jobs } in
   Trace.Json.to_string (Check.report_json (Check.run ~opts ~checkers:(checkers_for source) pl))
 
-(* Byte-identity of the report across engines, job counts and pruning. *)
+(* Byte-identity of the report across engines and job counts. *)
 let prop_report_identical =
-  QCheck.Test.make ~name:"check report byte-identical across engines/jobs/prune" ~count:6
+  QCheck.Test.make ~name:"check report byte-identical across engines/jobs" ~count:6
     config_arbitrary
     (fun cfg ->
       let source, _, pl = build cfg in
       let reference = report_string source pl in
       List.for_all
-        (fun (engine, jobs, prune) ->
-          String.equal reference (report_string ~engine ~jobs ~prune source pl))
-        [
-          ("norefine", 1, false);
-          ("refinepts", 1, false);
-          ("stasum", 1, false);
-          ("dynsum", 2, false);
-          ("dynsum", 4, false);
-          ("dynsum", 1, true);
-          ("refinepts", 2, true);
-        ])
+        (fun (engine, jobs) -> String.equal reference (report_string ~engine ~jobs source pl))
+        [ ("norefine", 1); ("refinepts", 1); ("stasum", 1); ("dynsum", 2); ("dynsum", 4);
+          ("refinepts", 2) ])
 
 (* Seeded ground truth: recall 1.0, clean variants silent, and every
    finding lands on a labelled sink line. *)

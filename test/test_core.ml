@@ -66,7 +66,6 @@ let test_fstack_widen () =
   in
   let f = fill Hstack.empty 0 4 in
   let w = Option.get (Fstack.push conf_widen f (Fstack.load_sym 99)) in
-  check Alcotest.bool "widened" true (Fstack.is_widened w);
   check Alcotest.bool "bounded" true (Hstack.depth w <= 4);
   (* the unknown tail matches any pop *)
   let rec drain f n = if n = 0 then f else drain (Option.get (Fstack.pop_match f (Hstack.peek f |> Option.get))) (n - 1) in
@@ -552,7 +551,7 @@ let test_alias_unknown_on_budget () =
   let s1 = Pts_workload.Figure2.s1 pl in
   let s2 = Pts_workload.Figure2.s2 pl in
   check Alcotest.bool "unknown under tiny budget" true
-    (Alias.may_alias engine s1 s2 = Alias.Unknown)
+    (Alias.may_alias pl.Pts_clients.Pipeline.pag engine s1 s2 = Alias.Unknown)
 
 let test_engine_conf_variants () =
   (* every configuration combination still answers Figure 2 exactly *)

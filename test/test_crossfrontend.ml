@@ -1,8 +1,7 @@
 (* The cross-frontend equivalence property pinned by ISSUE 6: matched
    MiniJava/MiniFun program pairs (Genpair) must yield identical
-   points-to verdicts for every engine, with and without Andersen-guided
-   pruning, sequentially and under the parallel batch scheduler at
-   jobs 1/2/4. The per-query ground truth (mono = exactly one non-null
+   points-to verdicts for every engine, sequentially and under the
+   parallel batch scheduler at jobs 1/2/4. The per-query ground truth (mono = exactly one non-null
    site) doubles as a lowering correctness check for both frontends.
 
    Also here: the Devirtopt acceptance criterion — the pass rewrites at
@@ -20,7 +19,7 @@ let check = Alcotest.check
 let langs = [ Loc.Mjava; Loc.Minifun ]
 let engine_names = Engine.names ()
 
-let conf_with prune = Engine.conf ~budget_limit:2_000_000 ~prune ()
+let conf = Engine.conf ~budget_limit:2_000_000 ()
 
 (* At most one non-null allocation site: anti-monotone in the target set,
    so it is a valid [satisfy] early-exit predicate. *)
@@ -51,10 +50,10 @@ let vt = Alcotest.testable (Fmt.of_to_string verdict_name) ( = )
 
 (* ------------------------- sequential engines ------------------------ *)
 
-let verdict_seq pl engine_name prune (q : Genpair.query_spec) =
+let verdict_seq pl engine_name (q : Genpair.query_spec) =
   let prog = pl.Pipeline.prog in
   let node = Pipeline.find_local_any pl ~var:q.Genpair.q_var in
-  let engine = Engine.create ~conf:(conf_with prune) engine_name pl.Pipeline.pag in
+  let engine = Engine.create ~conf engine_name pl.Pipeline.pag in
   Client.verdict_of (mono_pred prog) (engine.Engine.points_to ~satisfy:(mono_pred prog) node)
 
 let test_pair_seq name () =
@@ -62,24 +61,20 @@ let test_pair_seq name () =
   List.iter
     (fun engine_name ->
       List.iter
-        (fun prune ->
-          List.iter
-            (fun q ->
-              let label lang =
-                Printf.sprintf "%s %s %s prune=%b %s" name (Loc.lang_name lang) engine_name prune
-                  q.Genpair.q_var
-              in
-              let v lang = verdict_seq (Suite.pair_pipeline name lang) engine_name prune q in
-              let vmj = v Loc.Mjava and vmf = v Loc.Minifun in
-              check vt (label Loc.Mjava) (expected_for engine_name q) vmj;
-              check vt (label Loc.Minifun) (expected_for engine_name q) vmf)
-            pair.Genpair.p_queries)
-        [ false; true ])
+        (fun q ->
+          let label lang =
+            Printf.sprintf "%s %s %s %s" name (Loc.lang_name lang) engine_name q.Genpair.q_var
+          in
+          let v lang = verdict_seq (Suite.pair_pipeline name lang) engine_name q in
+          let vmj = v Loc.Mjava and vmf = v Loc.Minifun in
+          check vt (label Loc.Mjava) (expected_for engine_name q) vmj;
+          check vt (label Loc.Minifun) (expected_for engine_name q) vmf)
+        pair.Genpair.p_queries)
     engine_names
 
 (* ------------------------- parallel batches -------------------------- *)
 
-let verdicts_par pl engine_name prune jobs (queries : Genpair.query_spec list) =
+let verdicts_par pl engine_name jobs (queries : Genpair.query_spec list) =
   let prog = pl.Pipeline.prog in
   let qarr =
     Array.of_list
@@ -88,7 +83,7 @@ let verdicts_par pl engine_name prune jobs (queries : Genpair.query_spec list) =
            Parsolve.query ~satisfy:(mono_pred prog) (Pipeline.find_local_any pl ~var:q.Genpair.q_var))
          queries)
   in
-  let r = Parsolve.run ~conf:(conf_with prune) ~jobs ~rounds:1 ~engine:engine_name pl.Pipeline.pag qarr in
+  let r = Parsolve.run ~conf ~jobs ~rounds:1 ~engine:engine_name pl.Pipeline.pag qarr in
   Array.to_list (Array.map (Client.verdict_of (mono_pred prog)) r.Parsolve.outcomes)
 
 let test_pair_par name () =
@@ -97,29 +92,23 @@ let test_pair_par name () =
     (fun engine_name ->
       let expected_all = List.map (expected_for engine_name) pair.Genpair.p_queries in
       List.iter
-        (fun prune ->
+        (fun jobs ->
           List.iter
-            (fun jobs ->
-              List.iter
-                (fun lang ->
-                  let vs =
-                    verdicts_par (Suite.pair_pipeline name lang) engine_name prune jobs
-                      pair.Genpair.p_queries
-                  in
-                  check (Alcotest.list vt)
-                    (Printf.sprintf "%s %s %s prune=%b jobs=%d" name (Loc.lang_name lang)
-                       engine_name prune jobs)
-                    expected_all vs)
-                langs)
-            [ 1; 2; 4 ])
-        [ false; true ])
+            (fun lang ->
+              let vs =
+                verdicts_par (Suite.pair_pipeline name lang) engine_name jobs pair.Genpair.p_queries
+              in
+              check (Alcotest.list vt)
+                (Printf.sprintf "%s %s %s jobs=%d" name (Loc.lang_name lang) engine_name jobs)
+                expected_all vs)
+            langs)
+        [ 1; 2; 4 ])
     engine_names
 
 (* ---------------------------- devirtopt ------------------------------ *)
 
 (* desc -> verdict for one client on one pipeline, under dynsum. *)
 let client_verdicts queries_of pl =
-  let conf = conf_with false in
   let engine = Engine.create ~conf "dynsum" pl.Pipeline.pag in
   List.map
     (fun (q : Client.query) ->
@@ -159,7 +148,7 @@ let test_devirtopt_pair name lang () =
   let pl = Suite.pair_pipeline name lang in
   List.iter
     (fun engine_name ->
-      let dv = Devirtopt.run ~conf:(conf_with false) ~engine:engine_name pl in
+      let dv = Devirtopt.run ~conf ~engine:engine_name pl in
       (* scenario 0 is a monomorphic apply/call with >= 2 CHA targets *)
       check Alcotest.bool
         (Printf.sprintf "%s %s %s: rewrites a beyond-CHA site" name (Loc.lang_name lang) engine_name)
@@ -169,7 +158,7 @@ let test_devirtopt_pair name lang () =
       let pl' = Pipeline.of_program dv.Devirtopt.dv_prog in
       List.iter
         (fun q ->
-          let v = verdict_seq pl' engine_name false q in
+          let v = verdict_seq pl' engine_name q in
           check vt
             (Printf.sprintf "%s %s %s %s after rewrite" name (Loc.lang_name lang) engine_name
                q.Genpair.q_var)

@@ -116,14 +116,12 @@ let sample_queries pl =
   Pts_clients.Safecast.queries pl
   @ List.filteri (fun i _ -> i mod 3 = 0) (Pts_clients.Nullderef.queries pl)
 
-let engine_confs =
-  [ ("norefine", false); ("refinepts", true); ("dynsum", false); ("dynsum", true) ]
+let engine_names = [ "norefine"; "refinepts"; "dynsum" ]
 
 let build_engines pag =
   List.map
-    (fun (name, prune) ->
-      Engine.create ~conf:(Engine.conf ~budget_limit:2_000_000 ~prune ()) name pag)
-    engine_confs
+    (fun name -> Engine.create ~conf:(Engine.conf ~budget_limit:2_000_000 ()) name pag)
+    engine_names
 
 let outcomes e queries =
   List.map (fun q -> e.Engine.points_to q.Client.q_node) queries

@@ -196,6 +196,28 @@ let test_export_cell ~jobs ~rounds ~caller_tier () =
     Alcotest.(check int) "base_size reports the caller tier" (Dynsum.base_length b)
       r.Parsolve.base_size
 
+(* With no caller tier and no later round, nothing would read an internal
+   tier, so none is built: no miss probes an empty table, and the run
+   misses exactly the summaries one sequential engine misses. *)
+let test_one_round_builds_no_tier () =
+  let pl = Lazy.force pl in
+  let expected, _ = Lazy.force sequential in
+  let d = Dynsum.create ~conf pl.Pipeline.pag in
+  List.iter (fun q -> ignore (Dynsum.points_to d q.Client.q_node)) (Lazy.force queries);
+  let r = Parsolve.run ~conf ~engine:"dynsum" pl.Pipeline.pag (qarr ()) in
+  List.iteri
+    (fun i expect ->
+      if not (Query.equal_outcome expect r.Parsolve.outcomes.(i)) then
+        Alcotest.failf "query %d differs from sequential" i)
+    expected;
+  Alcotest.(check int) "base_hits" 0 r.Parsolve.base_hits;
+  Alcotest.(check int) "base_misses" 0 r.Parsolve.base_misses;
+  Alcotest.(check int) "base_size" 0 r.Parsolve.base_size;
+  let misses s = Pts_util.Stats.get s "summary_misses" in
+  Alcotest.(check bool) "summaries were missed" true (misses r.Parsolve.stats > 0);
+  Alcotest.(check int) "summary_misses = sequential" (misses (Dynsum.stats d))
+    (misses r.Parsolve.stats)
+
 (* cell names carry "steal", the one scheduling policy *)
 let export_matrix =
   List.concat_map
@@ -316,6 +338,7 @@ let () =
           Alcotest.test_case "merge preserves answers" `Quick test_snapshot_merge_preserves_answers;
           Alcotest.test_case "union idempotent" `Quick test_snapshot_union_is_idempotent;
           Alcotest.test_case "order is compare" `Quick test_snapshot_order_is_compare;
+          Alcotest.test_case "one round builds no tier" `Quick test_one_round_builds_no_tier;
         ] );
       ("export", export_matrix);
       ("trace", [ Alcotest.test_case "whole lines only" `Quick test_parallel_trace_whole_lines ]);

@@ -47,8 +47,7 @@ let daemon ?config () = Daemon.create ?config ~checkers:(checkers ()) (pipeline 
 
 let mk ?(id = J.Null) ?(client = "test") op = { Proto.rq_id = id; rq_client = client; rq_op = op }
 
-let query ?budget ?(engine = "dynsum") ?(prune = false) client =
-  mk (Proto.Query { client; engine; prune; budget })
+let query ?budget ?(engine = "dynsum") client = mk (Proto.Query { client; engine; budget })
 
 let member_str k j =
   match J.member k j with Some v -> J.to_string v | None -> Alcotest.failf "missing %S in %s" k (J.to_string j)
@@ -113,10 +112,14 @@ let test_proto_decode () =
   | Ok { Proto.rq_id = J.Int 7; rq_client = "default"; rq_op = Proto.Query q } ->
     Alcotest.(check string) "client" "safecast" q.client;
     Alcotest.(check string) "engine default" "dynsum" q.engine;
-    Alcotest.(check bool) "prune default" false q.prune;
     Alcotest.(check bool) "budget default" true (q.budget = None)
   | Ok _ -> Alcotest.fail "decoded shape"
   | Error (c, m) -> Alcotest.failf "decode: %s %s" c m);
+  (* a field the protocol no longer has is ignored like any unknown one *)
+  (match Proto.of_line "{\"op\":\"query\",\"client\":\"safecast\",\"prune\":true}" with
+  | Ok { Proto.rq_op = Proto.Query { client = "safecast"; _ }; _ } -> ()
+  | Ok _ -> Alcotest.fail "stale field: decoded shape"
+  | Error (c, m) -> Alcotest.failf "stale field: %s %s" c m);
   (match Proto.of_line "{\"op\":\"edit\",\"edits\":3,\"seed\":9,\"client_id\":\"a\"}" with
   | Ok { Proto.rq_client = "a"; rq_op = Proto.Edit { edits = 3; seed = 9 }; _ } -> ()
   | _ -> Alcotest.fail "edit decode");
@@ -201,15 +204,15 @@ let test_stats_and_shutdown () =
 
 let test_check_request () =
   let d = daemon () in
-  let all = Daemon.handle d (mk (Proto.Check { checkers = []; engine = "dynsum"; prune = false; budget = None })) in
+  let all = Daemon.handle d (mk (Proto.Check { checkers = []; engine = "dynsum"; budget = None })) in
   Alcotest.(check bool) "check ok" true (is_ok all);
   let named =
-    Daemon.handle d (mk (Proto.Check { checkers = [ "NullDeref" ]; engine = "dynsum"; prune = false; budget = None }))
+    Daemon.handle d (mk (Proto.Check { checkers = [ "NullDeref" ]; engine = "dynsum"; budget = None }))
   in
   Alcotest.(check bool) "named ok (case-insensitive)" true (is_ok named);
   Alcotest.(check bool) "named subset" true (int_field "points" named <= int_field "points" all);
   match
-    Daemon.handle d (mk (Proto.Check { checkers = [ "nosuch" ]; engine = "dynsum"; prune = false; budget = None }))
+    Daemon.handle d (mk (Proto.Check { checkers = [ "nosuch" ]; engine = "dynsum"; budget = None }))
   with
   | r -> Alcotest.(check string) "unknown checker" "bad_request" (error_code r)
 
@@ -223,11 +226,7 @@ let test_check_request () =
 let test_eviction_bounded_and_byte_identical () =
   let unbounded = daemon () in
   let tiny = daemon ~config:{ Daemon.default_config with Daemon.c_base_capacity = 32 } () in
-  let requests =
-    List.concat_map
-      (fun (key, _) -> [ query ~prune:false key; query ~prune:true key ])
-      Daemon.clients
-  in
+  let requests = List.map (fun (key, _) -> query key) Daemon.clients in
   for pass = 1 to 3 do
     List.iter
       (fun rq ->

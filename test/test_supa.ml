@@ -2,11 +2,11 @@
    acceptance bar directly:
 
    - soundness: SUPA's points-to answers are always a subset of
-     NOREFINE's (the flow-insensitive baseline it filters), across prune
-     on/off, on generated programs seeded with every taint shape;
+     NOREFINE's (the flow-insensitive baseline it filters), on generated
+     programs seeded with every taint shape;
    - recall: its taint verdicts never miss a ground-truth true flow,
-     across prune on/off x jobs 1/2/4 — including the weak-update
-     controls where a strong update would be unsound;
+     across jobs 1/2/4 — including the weak-update controls where a
+     strong update would be unsound;
    - precision: the overwrite-kill shapes are NOT flagged (the
      flow-insensitive false positive SUPA exists to remove);
    - strong-update admission: [Pag.oracle_singleton] refuses array and
@@ -25,7 +25,7 @@ let check = Alcotest.check
 
 (* Generous budget: the subset property is only meaningful when both
    engines resolve. *)
-let conf_with prune = Engine.conf ~budget_limit:2_000_000 ~prune ()
+let conf = Engine.conf ~budget_limit:2_000_000 ()
 
 (* Small configs with every taint shape present: true flows, clean
    look-alikes, overwrite kills and weak-update controls. *)
@@ -67,23 +67,20 @@ let sample_queries pl =
 (* ------------------- soundness: SUPA subset NOREFINE ------------------- *)
 
 let prop_supa_subset_norefine =
-  QCheck.Test.make ~name:"supa answers subset of norefine, prune on/off" ~count:5
+  QCheck.Test.make ~name:"supa answers subset of norefine, generated programs" ~count:5
     taint_config_arbitrary
     (fun cfg ->
       let _, pl = build_truth cfg in
       let pag = pl.Pipeline.pag in
+      let supa = Engine.create ~conf "supa" pag in
+      let nore = Engine.create ~conf "norefine" pag in
       List.for_all
-        (fun prune ->
-          let supa = Engine.create ~conf:(conf_with prune) "supa" pag in
-          let nore = Engine.create ~conf:(conf_with prune) "norefine" pag in
-          List.for_all
-            (fun q ->
-              let n = q.Client.q_node in
-              match (supa.Engine.points_to n, nore.Engine.points_to n) with
-              | Query.Resolved a, Query.Resolved b -> Query.Target_set.subset a b
-              | Query.Exceeded, _ | _, Query.Exceeded -> true)
-            (sample_queries pl))
-        [ false; true ])
+        (fun q ->
+          let n = q.Client.q_node in
+          match (supa.Engine.points_to n, nore.Engine.points_to n) with
+          | Query.Resolved a, Query.Resolved b -> Query.Target_set.subset a b
+          | Query.Exceeded, _ | _, Query.Exceeded -> true)
+        (sample_queries pl))
 
 (* ---------------- recall and precision on the checker ----------------- *)
 
@@ -95,15 +92,8 @@ let prop_supa_taint_verdicts =
       let spec = Pts_taint.Spec.of_source source in
       let checkers = [ Pts_taint.Checker.checker ~spec () ] in
       List.for_all
-        (fun (prune, jobs) ->
-          let opts =
-            {
-              Check.default_opts with
-              Check.o_engine = "supa";
-              o_jobs = jobs;
-              o_conf = conf_with prune;
-            }
-          in
+        (fun jobs ->
+          let opts = { Check.default_opts with Check.o_engine = "supa"; o_jobs = jobs; o_conf = conf } in
           let report = Check.run ~opts ~checkers pl in
           let flagged m =
             List.exists (fun d -> String.equal d.Diag.d_method m) report.Check.r_diags
@@ -113,7 +103,7 @@ let prop_supa_taint_verdicts =
               if l.G.tl_tainted then flagged l.G.tl_method
               else not (flagged l.G.tl_method))
             labels)
-        [ (false, 1); (false, 2); (false, 4); (true, 1); (true, 2); (true, 4) ])
+        [ 1; 2; 4 ])
 
 (* -------------- strong-update admission: summary sites ---------------- *)
 
@@ -133,7 +123,7 @@ let summary_src =
 
 let sites_of pl engine_name var =
   let pag = pl.Pipeline.pag in
-  let e = Engine.create ~conf:(conf_with false) engine_name pag in
+  let e = Engine.create ~conf engine_name pag in
   match e.Engine.points_to (Pipeline.find_local_any pl ~var) with
   | Query.Resolved ts -> Query.sites ts
   | Query.Exceeded -> Alcotest.failf "query on %s exceeded" var
@@ -195,7 +185,7 @@ let kill_src =
 let test_supa_strong_update () =
   let pl = Pipeline.of_source kill_src in
   let pag = pl.Pipeline.pag in
-  let supa = Engine.create ~conf:(conf_with false) "supa" pag in
+  let supa = Engine.create ~conf "supa" pag in
   let out = Pipeline.find_local_any pl ~var:"out" in
   let secret = match sites_of pl "norefine" "s" with
     | [ s ] -> s
@@ -232,7 +222,7 @@ let test_supa_field_overlay_downgrade () =
   check Alcotest.bool "field clean before edit" true (Pag.field_overlay_clean pag fld);
   let _commit = Pag.apply_edits pag [ Pag.Eadd (Pag.Estore { base = s_node; fld; src = s_node }) ] in
   check Alcotest.bool "field dirty after edit" false (Pag.field_overlay_clean pag fld);
-  let supa = Engine.create ~conf:(conf_with false) "supa" pag in
+  let supa = Engine.create ~conf "supa" pag in
   match supa.Engine.points_to out with
   | Query.Resolved ts ->
     check Alcotest.bool "downgraded: secret is back" true (List.mem secret (Query.sites ts))
@@ -252,14 +242,14 @@ let test_supa_inflow_overlay_downgrade () =
     | _ -> Alcotest.fail "s should have one site"
   in
   let _commit = Pag.apply_edits pag [ Pag.Eadd (Pag.Eassign { src = s_node; dst = b_node }) ] in
-  let supa = Engine.create ~conf:(conf_with false) "supa" pag in
+  let supa = Engine.create ~conf "supa" pag in
   (match supa.Engine.points_to out with
   | Query.Resolved ts ->
     check Alcotest.bool "downgraded: secret is back" true (List.mem secret (Query.sites ts))
   | Query.Exceeded -> Alcotest.fail "supa exceeded after inflow edit");
   (* still sound vs the post-edit baseline *)
-  let nore = Engine.create ~conf:(conf_with false) "norefine" pag in
-  match (Engine.create ~conf:(conf_with false) "supa" pag).Engine.points_to out, nore.Engine.points_to out with
+  let nore = Engine.create ~conf "norefine" pag in
+  match (Engine.create ~conf "supa" pag).Engine.points_to out, nore.Engine.points_to out with
   | Query.Resolved a, Query.Resolved b ->
     check Alcotest.bool "still subset of baseline" true (Query.Target_set.subset a b)
   | _ -> Alcotest.fail "post-edit queries exceeded"

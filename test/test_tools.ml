@@ -91,7 +91,8 @@ class Main {
 
 let test_alias_verdicts () =
   let pl = pipeline alias_src in
-  let engine = Engine.dynsum (Dynsum.create pl.Pts_clients.Pipeline.pag) in
+  let pag = pl.Pts_clients.Pipeline.pag in
+  let engine = Engine.dynsum (Dynsum.create pag) in
   let node v = Pts_clients.Pipeline.find_local pl ~meth_pretty:"Main.main" ~var:v in
   let is_verdict = Alcotest.testable
       (fun fmt -> function
@@ -101,17 +102,37 @@ let test_alias_verdicts () =
       ( = )
   in
   check is_verdict "a and b alias (identity call)" Alias.May
-    (Alias.may_alias engine (node "a") (node "b"));
+    (Alias.may_alias pag engine (node "a") (node "b"));
   check is_verdict "a and c do not" Alias.Must_not
-    (Alias.may_alias engine (node "a") (node "c"));
+    (Alias.may_alias pag engine (node "a") (node "c"));
   check is_verdict "same node trivially aliases" Alias.May
-    (Alias.may_alias engine (node "a") (node "a"));
+    (Alias.may_alias pag engine (node "a") (node "a"));
   check is_verdict "site fallback agrees here" Alias.Must_not
-    (Alias.may_alias_sites engine (node "a") (node "c"))
+    (Alias.may_alias_sites pag engine (node "a") (node "c"))
+
+(* Disjoint Andersen rows refute the alias before any query runs, so a
+   budget too small to answer either points-to query still proves
+   [Must_not]; a pair whose rows meet still needs the engine. *)
+let test_alias_oracle_disjoint () =
+  let pl = pipeline alias_src in
+  let pag = pl.Pts_clients.Pipeline.pag in
+  let conf = Engine.conf ~budget_limit:1 () in
+  let engine = Engine.dynsum (Dynsum.create ~conf pag) in
+  let node v = Pts_clients.Pipeline.find_local pl ~meth_pretty:"Main.main" ~var:v in
+  check Alcotest.bool "oracle installed" true (Pag.has_oracle pag);
+  check Alcotest.bool "a and c rows disjoint" true (Pag.oracle_disjoint pag (node "a") (node "c"));
+  check Alcotest.bool "disjoint rows answer Must_not" true
+    (Alias.may_alias pag engine (node "a") (node "c") = Alias.Must_not);
+  check Alcotest.bool "sites: disjoint rows answer Must_not" true
+    (Alias.may_alias_sites pag engine (node "a") (node "c") = Alias.Must_not);
+  check Alcotest.bool "no query was issued" true (Budget.total_steps engine.Engine.budget = 0);
+  check Alcotest.bool "overlapping rows exceed the budget" true
+    (Alias.may_alias pag engine (node "a") (node "b") = Alias.Unknown)
 
 let test_alias_sites_never_more_precise () =
   let pl = Pts_workload.Suite.pipeline "jack" in
-  let engine = Engine.dynsum (Dynsum.create pl.Pts_clients.Pipeline.pag) in
+  let pag = pl.Pts_clients.Pipeline.pag in
+  let engine = Engine.dynsum (Dynsum.create pag) in
   let qs = Pts_clients.Safecast.queries pl in
   let nodes = List.map (fun q -> q.Pts_clients.Client.q_node) qs in
   let rec pairs = function
@@ -120,7 +141,7 @@ let test_alias_sites_never_more_precise () =
   in
   List.iter
     (fun (x, y) ->
-      match (Alias.may_alias engine x y, Alias.may_alias_sites engine x y) with
+      match (Alias.may_alias pag engine x y, Alias.may_alias_sites pag engine x y) with
       | Alias.May, Alias.Must_not -> Alcotest.fail "site comparison more precise than full"
       | _ -> ())
     (pairs nodes)
@@ -214,6 +235,8 @@ let () =
       ( "alias",
         [
           Alcotest.test_case "verdicts" `Quick test_alias_verdicts;
+          Alcotest.test_case "disjoint oracle rows answer without a query" `Quick
+            test_alias_oracle_disjoint;
           Alcotest.test_case "site fallback conservative" `Quick test_alias_sites_never_more_precise;
         ] );
       ( "witness",

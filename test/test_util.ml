@@ -4,7 +4,6 @@ module Prng = Pts_util.Prng
 module Hstack = Pts_util.Hstack
 module Bitset = Pts_util.Bitset
 module Digraph = Pts_util.Digraph
-module Interner = Pts_util.Interner
 module Table = Pts_util.Table
 module Stats = Pts_util.Stats
 
@@ -189,6 +188,13 @@ let tailed xs =
   List.iter (fun x -> ignore (Bitset.add s x)) xs;
   s
 
+let test_lowest_bit () =
+  for i = 0 to Sys.int_size - 1 do
+    check Alcotest.int "single bit" i (Bitset.lowest_bit (1 lsl i));
+    check Alcotest.int "every bit from i up" i (Bitset.lowest_bit (-1 lsl i));
+    check Alcotest.int "bit i and the top bit" i (Bitset.lowest_bit ((1 lsl i) lor min_int))
+  done
+
 let test_bitset_tail_model =
   QCheck.Test.make ~name:"unions over zero-tailed sources agree with a set model" ~count:100
     QCheck.(pair (list (int_bound 300)) (list (int_bound 300)))
@@ -280,20 +286,6 @@ let test_digraph_dedup () =
   Digraph.add_edge g 0 1;
   check Alcotest.int "edges deduped" 1 (List.length (Digraph.succ g 0))
 
-(* ----------------------------- Interner ----------------------------- *)
-
-let test_interner () =
-  let t = Interner.create () in
-  let a = Interner.intern t "foo" in
-  let b = Interner.intern t "bar" in
-  check Alcotest.int "dense ids" 0 a;
-  check Alcotest.int "dense ids 2" 1 b;
-  check Alcotest.int "idempotent" a (Interner.intern t "foo");
-  check Alcotest.string "name roundtrip" "bar" (Interner.name t b);
-  check Alcotest.int "size" 2 (Interner.size t);
-  check (Alcotest.option Alcotest.int) "find" (Some 0) (Interner.find t "foo");
-  check (Alcotest.option Alcotest.int) "find missing" None (Interner.find t "baz")
-
 (* ------------------------------- Table ------------------------------ *)
 
 let contains ~needle hay =
@@ -365,6 +357,9 @@ let () =
           QCheck_alcotest.to_alcotest test_bitset_delta_model;
           QCheck_alcotest.to_alcotest test_bitset_tail_model;
         ] );
+      (* Alcotest pads case names to the longest group label; this 8-wide
+         label keeps the truncation of long printed names unchanged. *)
+      ("bit scan", [ Alcotest.test_case "lowest_bit" `Quick test_lowest_bit ]);
       ( "digraph",
         [
           Alcotest.test_case "scc line" `Quick test_scc_line;
@@ -374,7 +369,6 @@ let () =
           Alcotest.test_case "dedup" `Quick test_digraph_dedup;
           QCheck_alcotest.to_alcotest test_scc_model;
         ] );
-      ("interner", [ Alcotest.test_case "basics" `Quick test_interner ]);
       ( "table",
         [
           Alcotest.test_case "render" `Quick test_table_render;
