@@ -30,7 +30,7 @@ let clients : (string * (Pipeline.t -> Client.query list)) list =
 
 (* STASUM's offline enumeration runs with a bounded stack space so that it
    terminates with an exact (untruncated) summary count; see EXPERIMENTS.md. *)
-let stasum_conf = Engine.conf ~max_field_depth:4 ~overflow:Engine.Widen ()
+let stasum_conf = Engine.conf ~max_field_depth:4 ()
 
 let fresh_engines pl = Pipeline.engines pl
 

@@ -248,16 +248,7 @@ let client_par_cmd lang file bench client_key engine_name budget cache_file trac
       let verdicts =
         List.mapi (fun i q -> (q, Client.verdict_of q.Client.q_pred r.Parsolve.outcomes.(i))) queries
       in
-      let tally =
-        List.fold_left
-          (fun t (_, v) ->
-            match v with
-            | Client.Proved -> { t with Client.proved = t.Client.proved + 1 }
-            | Client.Refuted -> { t with Client.refuted = t.Client.refuted + 1 }
-            | Client.Unknown -> { t with Client.unknown = t.Client.unknown + 1 })
-          { Client.proved = 0; refuted = 0; unknown = 0 }
-          verdicts
-      in
+      let tally = Client.tally_of verdicts in
       Printf.printf
         "%s with %s: %d queries in %.3fs (%d jobs, %d rounds, %d steals, %d unique summaries)\n"
         cname engine_name (Array.length qarr) r.Parsolve.wall_seconds r.Parsolve.jobs
@@ -353,16 +344,8 @@ let client_cmd lang file bench client_key engine_name budget cache_file trace me
           Printf.printf "%s with %s: %d queries in %.3fs (%d steps)\n" cname engine.Engine.name
             (List.length queries) r.Client.seconds r.Client.steps;
           Format.printf "  %a@." Client.pp_tally r.Client.tally;
-          (* list refuted/unknown queries for actionability (the re-query
-             is answered from warm summaries) *)
-          let verdicts =
-            List.map
-              (fun q ->
-                ( q,
-                  Client.verdict_of q.Client.q_pred
-                    (engine.Engine.points_to ~satisfy:q.Client.q_pred q.Client.q_node) ))
-              queries
-          in
+          (* list refuted/unknown queries for actionability *)
+          let verdicts = r.Client.verdicts in
           List.iter
             (fun (q, v) ->
               match v with

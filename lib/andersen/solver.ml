@@ -182,31 +182,19 @@ let dispatch st site_id cd =
     | Ir.Static _ | Ir.Ctor _ -> ()
   end
 
-(* Closure-free walks of the unit's edge lists: copy edges get the drained
-   delta in [st.scratch]; complex constraints fire once per frontier site. *)
+(* Closure-free walks of the unit's copy edges, its PAG rows and its
+   dynamic copies: each edge gets the drained delta in [st.scratch]. *)
+let flow_edge _ w st =
+  flow st st.scratch 0 w;
+  st
+
 let rec flow_nodes st = function
   | [] -> ()
   | w :: rest ->
     flow st st.scratch 0 w;
     flow_nodes st rest
 
-let rec flow_pairs st = function
-  | [] -> ()
-  | (_, w) :: rest ->
-    flow st st.scratch 0 w;
-    flow_pairs st rest
-
-let rec fire_loads st o = function
-  | [] -> ()
-  | (f, dst) :: rest ->
-    add_copy st (cell st o f) dst;
-    fire_loads st o rest
-
-let rec fire_stores st o = function
-  | [] -> ()
-  | (f, src) :: rest ->
-    add_copy st src (cell st o f);
-    fire_stores st o rest
+let nonempty _ _ _ = true
 
 let rec fire_virtuals st o = function
   | [] -> ()
@@ -233,24 +221,35 @@ let process st u =
     st.propagations <- st.propagations + 1;
     if u < Pag.node_count st.pag then begin
       (* static copy edges from the PAG *)
-      flow_nodes st (Pag.assign_out st.pag u);
-      flow_nodes st (Pag.global_out st.pag u);
-      flow_pairs st (Pag.entry_out st.pag u);
-      flow_pairs st (Pag.exit_out st.pag u);
-      (* complex constraints: u as a load/store base or virtual receiver *)
-      let loads = Pag.load_out st.pag u and stores = Pag.store_in st.pag u in
+      let pag = st.pag in
+      ignore (Pag.View.fold pag Pag.View.assign_out u flow_edge st);
+      ignore (Pag.View.fold pag Pag.View.global_out u flow_edge st);
+      ignore (Pag.View.fold pag Pag.View.entry_out u flow_edge st);
+      ignore (Pag.View.fold pag Pag.View.exit_out u flow_edge st);
+      (* complex constraints: u as a load/store base or virtual receiver,
+         fired per frontier site [o] *)
+      let loads = Pag.View.fold pag Pag.View.load_out u nonempty false
+      and stores = Pag.View.fold pag Pag.View.store_in u nonempty false in
       let virtuals = st.virtuals.(u) in
-      if loads <> [] || stores <> [] || virtuals <> [] then
+      if loads || stores || virtuals <> [] then begin
+        let fire_load f dst o =
+          add_copy st (cell st o f) dst;
+          o
+        and fire_store f src o =
+          add_copy st src (cell st o f);
+          o
+        in
         for i = 0 to st.stride - 1 do
           let w = ref scratch.(i) in
           while !w <> 0 do
             let o = (i * Sys.int_size) + Bitset.lowest_bit !w in
-            fire_loads st o loads;
-            fire_stores st o stores;
+            if loads then ignore (Pag.View.fold pag Pag.View.load_out u fire_load o);
+            if stores then ignore (Pag.View.fold pag Pag.View.store_in u fire_store o);
             fire_virtuals st o virtuals;
             w := !w land (!w - 1)
           done
         done
+      end
     end;
     (* dynamic copy edges — fetched after the complex constraints so edges
        they added are included *)
@@ -321,8 +320,6 @@ let program (t : t) = t.prog
 let points_to (t : t) node =
   if node >= 0 && node < Pag.node_count t.pag then Pag.oracle_row t.pag node
   else Bitset.create ~capacity:1 ()
-
-let points_to_var (t : t) ~meth ~var = points_to t (Pag.local_node t.pag ~meth ~var)
 
 let is_reachable (t : t) mid = mid >= 0 && mid < Array.length t.reachable && t.reachable.(mid)
 

@@ -47,8 +47,6 @@ val points_to : t -> Pag.node -> Pts_util.Bitset.t
     the node's oracle row (see {!Pag.oracle_row}), empty for an id that is
     not a PAG node. *)
 
-val points_to_var : t -> meth:int -> var:int -> Pts_util.Bitset.t
-
 val is_reachable : t -> int -> bool
 (** Is the method id reachable from the roots? *)
 

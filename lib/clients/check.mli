@@ -55,14 +55,11 @@ val make :
   checker
 
 val to_query : point -> Client.query
-val points_of : Pipeline.t -> checker -> point list
 val queries_of : Pipeline.t -> checker -> Client.query list
 
-val site_name : Ir.program -> int -> string
-(** ["o12:Vector (new in App0.run:34)"], or ["o3:null"]. *)
-
 val sites_blurb : Ir.program -> int list -> string
-(** Comma-joined {!site_name}s, truncated after three with ["(+k more)"]. *)
+(** Comma-joined site names (["o12:Vector (new in App0.run:34)"], or
+    ["o3:null"]), truncated after three with ["(+k more)"]. *)
 
 type opts = {
   o_engine : string;  (** registry name; default ["dynsum"] *)

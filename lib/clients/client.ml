@@ -13,28 +13,39 @@ let total t = t.proved + t.refuted + t.unknown
 let add_tally a b =
   { proved = a.proved + b.proved; refuted = a.refuted + b.refuted; unknown = a.unknown + b.unknown }
 
-type run_result = { tally : tally; seconds : float; steps : int; summaries_after : int }
+type run_result = {
+  tally : tally;
+  verdicts : (query * verdict) list;
+  seconds : float;
+  steps : int;
+  summaries_after : int;
+}
 
 let verdict_of pred = function
   | Query.Exceeded -> Unknown
   | Query.Resolved ts -> if pred ts then Proved else Refuted
 
+let tally_of verdicts =
+  List.fold_left
+    (fun acc (_, v) ->
+      match v with
+      | Proved -> { acc with proved = acc.proved + 1 }
+      | Refuted -> { acc with refuted = acc.refuted + 1 }
+      | Unknown -> { acc with unknown = acc.unknown + 1 })
+    { proved = 0; refuted = 0; unknown = 0 }
+    verdicts
+
 let run (engine : Engine.engine) queries =
   let steps_before = Budget.total_steps engine.Engine.budget in
-  let tally, seconds =
+  let verdicts, seconds =
     Pts_util.Stats.time (fun () ->
-        List.fold_left
-          (fun acc q ->
-            let outcome = engine.Engine.points_to ~satisfy:q.q_pred q.q_node in
-            match verdict_of q.q_pred outcome with
-            | Proved -> { acc with proved = acc.proved + 1 }
-            | Refuted -> { acc with refuted = acc.refuted + 1 }
-            | Unknown -> { acc with unknown = acc.unknown + 1 })
-          { proved = 0; refuted = 0; unknown = 0 }
+        List.map
+          (fun q -> (q, verdict_of q.q_pred (engine.Engine.points_to ~satisfy:q.q_pred q.q_node)))
           queries)
   in
   {
-    tally;
+    tally = tally_of verdicts;
+    verdicts;
     seconds;
     steps = Budget.total_steps engine.Engine.budget - steps_before;
     summaries_after = engine.Engine.summary_count ();

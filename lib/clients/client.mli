@@ -23,6 +23,7 @@ val add_tally : tally -> tally -> tally
 
 type run_result = {
   tally : tally;
+  verdicts : (query * verdict) list; (** each query's verdict, in query order *)
   seconds : float;
   steps : int; (** deterministic budget steps consumed *)
   summaries_after : int; (** engine's summary-cache size after the run *)
@@ -38,6 +39,8 @@ val run_batches : Engine.engine -> query list -> batches:int -> run_result list
     persist across batches. *)
 
 val verdict_of : (Query.Target_set.t -> bool) -> Query.outcome -> verdict
+
+val tally_of : (query * verdict) list -> tally
 
 val pp_tally : Format.formatter -> tally -> unit
 

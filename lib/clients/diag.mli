@@ -10,9 +10,6 @@ type severity = Info | Warning | Error
 val severity_to_string : severity -> string
 val severity_of_string : string -> severity option
 
-val severity_rank : severity -> int
-(** [Info] = 0, [Warning] = 1, [Error] = 2. *)
-
 val severity_geq : severity -> severity -> bool
 (** [severity_geq a b] — is [a] at least as severe as [b]? Drives the
     [ptsto check --fail-on] exit-code gate. *)

@@ -4,24 +4,19 @@
     engines can all consume it; {!Engine} re-exports it (with the record
     fields) as [Engine.conf] for external callers. *)
 
-type overflow =
-  | Abort  (** overflow fails the query conservatively (paper behaviour) *)
-  | Widen  (** k-limit the access path: sound over-approximation *)
-
 type t = {
   budget_limit : int; (** max PAG edge traversals per query (paper: 75,000) *)
   max_field_repeat : int;
       (** max occurrences of one field in a field stack; a push beyond it
           is cut — the stack-world analogue of Algorithm 1's visited-set
           cycle cut around recursive heap structures (see {!Fstack}) *)
-  max_field_depth : int; (** hard stack cap, a backstop (see {!Fstack}) *)
-  overflow : overflow;
+  max_field_depth : int;
+      (** hard stack cap, a backstop: a push beyond it k-limits the access
+          path, a sound over-approximation (see {!Fstack}) *)
 }
 
 val default : t
-(** [{ budget_limit = 75_000; max_field_repeat = 2; max_field_depth = 64;
-       overflow = Widen }]. *)
+(** [{ budget_limit = 75_000; max_field_repeat = 2; max_field_depth = 64 }]. *)
 
 val make :
-  ?budget_limit:int -> ?max_field_repeat:int -> ?max_field_depth:int -> ?overflow:overflow ->
-  unit -> t
+  ?budget_limit:int -> ?max_field_repeat:int -> ?max_field_depth:int -> unit -> t

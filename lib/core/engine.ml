@@ -2,13 +2,10 @@
    so this module can sit on top of them and own the registry; the type
    equations keep external code compiling against the old names. *)
 
-type overflow = Conf.overflow = Abort | Widen
-
 type conf = Conf.t = {
   budget_limit : int;
   max_field_repeat : int;
   max_field_depth : int;
-  overflow : overflow;
 }
 
 let default_conf = Conf.default

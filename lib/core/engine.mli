@@ -13,27 +13,22 @@
     traversed context-insensitively) and the realizability rule that
     allows an empty stack to pop (partially balanced paths). *)
 
-type overflow = Conf.overflow =
-  | Abort  (** overflow fails the query conservatively (paper behaviour) *)
-  | Widen  (** k-limit the access path: sound over-approximation *)
-
 type conf = Conf.t = {
   budget_limit : int; (** max PAG edge traversals per query (paper: 75,000) *)
   max_field_repeat : int;
       (** max occurrences of one field in a field stack; a push beyond it
           is cut — the stack-world analogue of Algorithm 1's visited-set
           cycle cut around recursive heap structures (see {!Fstack}) *)
-  max_field_depth : int; (** hard stack cap, a backstop (see {!Fstack}) *)
-  overflow : overflow;
+  max_field_depth : int;
+      (** hard stack cap, a backstop: a push beyond it k-limits the access
+          path, a sound over-approximation (see {!Fstack}) *)
 }
 
 val default_conf : conf
-(** [{ budget_limit = 75_000; max_field_repeat = 2; max_field_depth = 64;
-       overflow = Widen }]. *)
+(** [{ budget_limit = 75_000; max_field_repeat = 2; max_field_depth = 64 }]. *)
 
 val conf :
-  ?budget_limit:int -> ?max_field_repeat:int -> ?max_field_depth:int -> ?overflow:overflow ->
-  unit -> conf
+  ?budget_limit:int -> ?max_field_repeat:int -> ?max_field_depth:int -> unit -> conf
 
 (** {2 Context stacks (call-site ids)} *)
 

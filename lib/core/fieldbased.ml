@@ -36,15 +36,13 @@ let refresh t =
 
 (* Field-based successors: plain copies, calls/returns without context,
    and store(f) jumping to every load of f. *)
-let successors pag load_dsts n =
-  let stores =
-    List.concat_map (fun (f, _base) -> load_dsts f) (Pag.store_out pag n)
-  in
-  Pag.assign_out pag n
-  @ Pag.global_out pag n
-  @ List.map snd (Pag.entry_out pag n)
-  @ List.map snd (Pag.exit_out pag n)
-  @ stores
+let add_successors pag load_dsts g n =
+  List.iter
+    (fun side -> Pag.View.fold pag side n (fun _ w () -> Digraph.add_edge g n w) ())
+    Pag.View.[ assign_out; global_out; entry_out; exit_out ];
+  Pag.View.fold pag Pag.View.store_out n
+    (fun f _base () -> List.iter (Digraph.add_edge g n) (load_dsts f))
+    ()
 
 let solve t =
   refresh t;
@@ -66,7 +64,7 @@ let solve t =
     let g = Digraph.create ~capacity:n () in
     if n > 0 then Digraph.ensure_node g (n - 1);
     for v = 0 to n - 1 do
-      List.iter (fun w -> Digraph.add_edge g v w) (successors pag load_dsts v)
+      add_successors pag load_dsts g v
     done;
     (* forward reachability per SCC component, in reverse topological
        order (Digraph.scc numbers components so successors come first) *)
@@ -89,11 +87,11 @@ let solve t =
     for node = 0 to n - 1 do
       if Pag.is_obj pag node then begin
         let site = Pag.obj_site pag node in
-        List.iter
-          (fun dst ->
+        Pag.View.fold pag Pag.View.new_out node
+          (fun _ dst () ->
             ignore (Bitset.add pts.(dst) site);
             Bitset.iter t.reach.(comp.(dst)) (fun w -> ignore (Bitset.add pts.(w) site)))
-          (Pag.new_out pag node)
+          ()
       end
     done;
     t.pts <- pts

@@ -14,13 +14,11 @@ let occurrences g f = Hstack.fold (fun n x -> if x = g then n + 1 else n) 0 f
 let push conf f g =
   if occurrences g f >= conf.Conf.max_field_repeat then None
   else if Hstack.depth f < conf.Conf.max_field_depth then Some (Hstack.push f g)
-  else
-    match conf.Conf.overflow with
-    | Conf.Abort -> raise Budget.Out_of_budget
-    | Conf.Widen ->
-      let real = List.filter (fun x -> x <> unknown_tail) (Hstack.to_list f) in
-      let kept = take (conf.Conf.max_field_depth - 2) real in
-      Some (Hstack.of_list ((g :: kept) @ [ unknown_tail ]))
+  else begin
+    let real = List.filter (fun x -> x <> unknown_tail) (Hstack.to_list f) in
+    let kept = take (conf.Conf.max_field_depth - 2) real in
+    Some (Hstack.of_list ((g :: kept) @ [ unknown_tail ]))
+  end
 
 let pop_match f g =
   if Hstack.is_empty f then None

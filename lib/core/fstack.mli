@@ -15,13 +15,9 @@
     bounds stacks by [max_field_repeat * #fields], so exploration is
     finite.
 
-    The depth cap is a backstop: under [`Widen] the stack bottom becomes
-    an "unknown tail" marker that matches any pop and admits "may be
-    empty" (a sound over-approximation); under [`Abort] the query fails
-    conservatively with {!Budget.Out_of_budget}. *)
-
-val unknown_tail : int
-(** The widening marker (an impossible symbol). *)
+    The depth cap is a backstop: beyond it the stack bottom becomes an
+    "unknown tail" marker that matches any pop and admits "may be empty"
+    (a sound over-approximation). *)
 
 (** {2 Stack symbols}
 
@@ -45,8 +41,7 @@ val sym_field : int -> int
 val sym_is_load : int -> bool
 
 val push : Conf.t -> Pts_util.Hstack.t -> int -> Pts_util.Hstack.t option
-(** Push a field. [None] = repeat-limit cut: drop this branch.
-    @raise Budget.Out_of_budget on depth overflow under [`Abort]. *)
+(** Push a field. [None] = repeat-limit cut: drop this branch. *)
 
 val pop_match : Pts_util.Hstack.t -> int -> Pts_util.Hstack.t option
 (** Match the top of the stack against field [g] (the [f.Peek() = g] of

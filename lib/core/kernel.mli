@@ -119,8 +119,8 @@ val local_walk :
 (** One local-edge-only traversal from a query state. With {!exact_policy}
     this is exactly Algorithm 3 (see {!Ppta.compute}, which wraps it).
     Consumes budget per newly visited state; [observe] sees each one.
-    @raise Budget.Out_of_budget (also on field-stack overflow under
-    [Abort]), in which case the partial result must not be cached. *)
+    @raise Budget.Out_of_budget, in which case the partial result must
+    not be cached. *)
 
 (** {2 The global-edge worklist (Algorithm 4)} *)
 

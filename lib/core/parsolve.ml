@@ -163,14 +163,14 @@ let run ?(conf = Conf.default) ?trace_writer ?(jobs = 1) ?(rounds = 1) ?base
          (String.concat ", " (Engine.names ()))));
   (* a frozen PAG is shareable: the slabs are immutable and the edit
      overlay, if any, is only written by [Pag.apply_edits] between
-     batches — never concurrently with a run. [packed] raises before
+     batches — never concurrently with a run. [View.slab] raises before
      [freeze], turning a data race on the build side into an immediate
      error. By default the shared base tier below lives within this one
      call, so an edit between calls can never feed it a stale summary; a
      caller passing [?base] owns that invariant instead — the serve
      daemon keeps one tier across requests and runs
      [Dynsum.base_invalidate] on every edit commit. *)
-  ignore (Pag.packed pag);
+  ignore (Pag.View.slab pag Pag.View.new_in);
   let n = Array.length queries in
   let outcomes = Array.make n Query.Exceeded in
   let actual_steps = Array.make n 0 in

@@ -7,8 +7,6 @@ let pp_state = Kernel.pp_state
 
 type summary = { objs : int list; tuples : (int * Hstack.t * state) list }
 
-let empty_summary = { objs = []; tuples = [] }
-
 (* Algorithm 3 is the kernel's local walker under the exact policy: every
    field is tracked precisely, so no match edges and no jumps arise. *)
 let compute pag conf budget ?trace v0 f0 s0 =

@@ -28,15 +28,12 @@ type summary = {
   tuples : (int * Pts_util.Hstack.t * state) list; (** frontier states *)
 }
 
-val empty_summary : summary
-
 val compute :
   Pag.t -> Conf.t -> Budget.t -> ?trace:(int -> Pts_util.Hstack.t -> state -> unit) ->
   Pag.node -> Pts_util.Hstack.t -> state -> summary
 (** One PPTA run — {!Kernel.local_walk} under {!Kernel.exact_policy}.
-    Consumes budget per visited state; @raise Budget.Out_of_budget (also
-    on field-stack overflow), in which case the partial result must not be
-    cached. [trace] observes each newly visited state (used by the Table 1
+    Consumes budget per visited state; @raise Budget.Out_of_budget, in
+    which case the partial result must not be cached. [trace] observes each newly visited state (used by the Table 1
     walkthrough). *)
 
 val compute_with_footprint :

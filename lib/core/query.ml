@@ -6,9 +6,6 @@ module Target = struct
   let compare a b =
     let c = Int.compare a.site b.site in
     if c <> 0 then c else Int.compare (Hstack.id a.hctx) (Hstack.id b.hctx)
-
-  let pp fmt { site; hctx } =
-    Format.fprintf fmt "o%d@%a" site (Hstack.pp Format.pp_print_int) hctx
 end
 
 module Target_set = Set.Make (Target)
@@ -22,13 +19,6 @@ let sites ts =
   |> Int_set.elements
 
 let singleton ~site ~hctx = Target_set.singleton { Target.site; hctx }
-
-let pp_outcome fmt = function
-  | Exceeded -> Format.pp_print_string fmt "<budget exceeded>"
-  | Resolved ts ->
-    Format.fprintf fmt "{%a}"
-      (Format.pp_print_list ~pp_sep:(fun f () -> Format.fprintf f ", ") Target.pp)
-      (Target_set.elements ts)
 
 let equal_outcome a b =
   match (a, b) with

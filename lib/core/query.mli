@@ -9,21 +9,18 @@ module Target : sig
   type t = { site : int; hctx : Pts_util.Hstack.t }
 
   val compare : t -> t -> int
-  val pp : Format.formatter -> t -> unit
 end
 
 module Target_set : Set.S with type elt = Target.t
 
 type outcome =
   | Resolved of Target_set.t
-  | Exceeded  (** budget or field-stack depth exhausted: answer unknown *)
+  | Exceeded  (** budget exhausted: answer unknown *)
 
 val sites : Target_set.t -> int list
 (** Distinct allocation sites, ascending. *)
 
 val singleton : site:int -> hctx:Pts_util.Hstack.t -> Target_set.t
-
-val pp_outcome : Format.formatter -> outcome -> unit
 
 val equal_outcome : outcome -> outcome -> bool
 

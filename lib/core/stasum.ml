@@ -25,22 +25,18 @@ let summary_points t =
 let truncated t = t.truncated
 let budget t = t.budget
 let stats t = t.stats
-let offline_steps t = Budget.total_steps t.offline_budget
 
 let key u f s = (u, Hstack.id f, Ppta.state_to_int s)
 
-(* Frontier expansion, context-free: the summary keys a worklist could
-   request next, regardless of calling context. *)
-let successors pag (x, f1, s1) =
-  match s1 with
-  | Ppta.S1 ->
-    List.map (fun (_, y) -> (y, f1, Ppta.S1)) (Pag.exit_in pag x)
-    @ List.map (fun (_, y) -> (y, f1, Ppta.S1)) (Pag.entry_in pag x)
-    @ List.map (fun y -> (y, f1, Ppta.S1)) (Pag.global_in pag x)
-  | Ppta.S2 ->
-    List.map (fun (_, y) -> (y, f1, Ppta.S2)) (Pag.exit_out pag x)
-    @ List.map (fun (_, y) -> (y, f1, Ppta.S2)) (Pag.entry_out pag x)
-    @ List.map (fun y -> (y, f1, Ppta.S2)) (Pag.global_out pag x)
+(* Frontier expansion, context-free: [visit] each summary key a worklist
+   could request next, regardless of calling context. *)
+let iter_successors pag visit (x, f1, s1) =
+  let sides =
+    match s1 with
+    | Ppta.S1 -> Pag.View.[ exit_in; entry_in; global_in ]
+    | Ppta.S2 -> Pag.View.[ exit_out; entry_out; global_out ]
+  in
+  List.iter (fun side -> Pag.View.fold pag side x (fun _ y () -> visit (y, f1, s1)) ()) sides
 
 let offline t max_summaries =
   let pag = t.pag in
@@ -54,7 +50,7 @@ let offline t max_summaries =
     if not (Tbl.mem seen (key u f s)) then begin
       Tbl.add seen (key u f s) ();
       if Pag.has_local_edges pag u then Queue.add (u, f, s) queue
-      else List.iter visit (successors pag (u, f, s))
+      else iter_successors pag visit (u, f, s)
     end
   in
   (* seeds: every queryable node (vars and globals touched by any edge) *)
@@ -62,26 +58,16 @@ let offline t max_summaries =
     if (not (Pag.is_obj pag n)) && Pag.has_local_edges pag n then
       visit (n, Hstack.empty, Ppta.S1)
   done;
-  let depth_aborts = ref 0 in
   while (not (Queue.is_empty queue)) && not t.truncated do
     let u, f, s = Queue.pop queue in
     if Tbl.length t.cache >= max_summaries then t.truncated <- true
     else begin
-      match Ppta.compute_with_footprint t.pag t.conf t.offline_budget u f s with
-      | summary, fp ->
-        Tbl.replace t.cache (key u f s) summary;
-        Tbl.replace t.footprints (key u f s) fp;
-        List.iter
-          (fun tuple -> List.iter visit (successors pag tuple))
-          summary.Ppta.tuples
-      | exception Budget.Out_of_budget ->
-        (* field-depth overflow on this seed: drop it, note the loss *)
-        incr depth_aborts
+      let summary, fp = Ppta.compute_with_footprint t.pag t.conf t.offline_budget u f s in
+      Tbl.replace t.cache (key u f s) summary;
+      Tbl.replace t.footprints (key u f s) fp;
+      List.iter (iter_successors pag visit) summary.Ppta.tuples
     end
-  done;
-  if !depth_aborts > 0 then
-    Trace.emit t.sink
-      (Trace.Counter { engine = name; name = "offline_depth_aborts"; delta = !depth_aborts })
+  done
 
 let create ?(conf = Conf.default) ?(trace = Trace.null) ?(max_summaries = 300_000) pag =
   let stats = Stats.create () in

@@ -41,11 +41,8 @@ val invalidate : t -> Pag.node list -> int * int
     dropped keys are recomputed lazily by the online phase on next use.
     Returns [(dropped, retained)]. *)
 
-val offline_steps : t -> int
-(** PPTA steps spent in the offline phase. *)
-
 val budget : t -> Budget.t
 
 val stats : t -> Pts_util.Stats.t
 (** Counters: ["queries"], ["exceeded"], ["summary_hits"] and
-    ["summary_misses"] (online table lookups), ["offline_depth_aborts"]. *)
+    ["summary_misses"] (online table lookups). *)

@@ -516,10 +516,3 @@ let buffered_jsonl ?(flush_bytes = 1 lsl 16) w =
     close = (fun () -> flush_buf ());
   }
 
-let locked sink =
-  let m = Mutex.create () in
-  let guarded f x =
-    Mutex.lock m;
-    Fun.protect ~finally:(fun () -> Mutex.unlock m) (fun () -> f x)
-  in
-  { emit = guarded sink.emit; close = (fun () -> guarded sink.close ()) }

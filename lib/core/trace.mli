@@ -67,16 +67,6 @@ type event =
           timing-bearing event: daemon traces measure a live system, so
           they trade the reproducibility guarantee above for latency. *)
 
-val event_engine : event -> string
-
-val counter_name : event -> string option
-(** Canonical counter the event aggregates into (["queries"],
-    ["summary_hits"], …); [None] for events that are not counted. *)
-
-val counter_delta : event -> int
-
-val event_to_json : event -> Json.t
-
 type sink = { emit : event -> unit; close : unit -> unit }
 
 val null : sink
@@ -105,15 +95,12 @@ val to_file : string -> sink
     {!flush_on_signals} arranges for that registry to drain before the
     process exits on either signal. *)
 
-val flush_all : unit -> unit
-(** Flush every registered channel now. Best-effort and non-blocking: a
-    writer whose mutex is currently held by an interrupted thread is
-    skipped (its lines are whole on disk; only its channel buffer waits
-    for the runtime's own exit flushing). Exceptions are swallowed. *)
-
 val flush_on_signals : unit -> unit
-(** Install SIGINT/SIGTERM handlers that run {!flush_all} and exit with
-    the conventional [128+signal] status. Idempotent; safe on platforms
+(** Install SIGINT/SIGTERM handlers that flush every registered channel
+    and exit with the conventional [128+signal] status. The flush is
+    best-effort and non-blocking: a writer whose mutex is currently held
+    by an interrupted thread is skipped (its lines are whole on disk;
+    only its channel buffer waits for the runtime's own exit flushing). Idempotent; safe on platforms
     without signals (installation failures are ignored). *)
 
 (** {2 Domain-safe plumbing}
@@ -134,10 +121,6 @@ val writer : out_channel -> writer
 val writer_to_file : string -> writer
 (** Writer over a fresh file; {!writer_close} closes it. *)
 
-val writer_lines : writer -> string -> unit
-(** Append a chunk (one or more complete ['\n']-terminated lines)
-    atomically with respect to other writers of the same {!type:writer}. *)
-
 val writer_close : writer -> unit
 
 val buffered_jsonl : ?flush_bytes:int -> writer -> sink
@@ -145,8 +128,3 @@ val buffered_jsonl : ?flush_bytes:int -> writer -> sink
     the shared writer once [flush_bytes] (default 64 KiB) accumulate.
     [close] flushes the buffer; call it in the domain that emitted. *)
 
-val locked : sink -> sink
-(** Serialise [emit]/[close] of an arbitrary sink behind a fresh mutex —
-    the blunt fallback for sinks with no domain-safe variant (e.g.
-    {!counting} over a shared {!Pts_util.Stats.t}). Prefer per-domain
-    sinks merged after join. *)

@@ -29,31 +29,21 @@ let successors pag (summary : Ppta.summary) (st : step) =
   let go node fstack state ctx =
     acc := { w_node = node; w_fstack = fstack; w_state = state; w_ctx = ctx } :: !acc
   in
+  let row side x f = Pag.View.fold pag side x (fun i y () -> f i y) () in
   List.iter
     (fun (x, f1, s1) ->
+      let push i y = go y f1 s1 (Kernel.push_ctx pag st.w_ctx i)
+      and pop i y = match Kernel.pop_ctx pag st.w_ctx i with Some c' -> go y f1 s1 c' | None -> ()
+      and global _ y = go y f1 s1 Hstack.empty in
       match s1 with
       | Ppta.S1 ->
-        List.iter
-          (fun (i, y) -> go y f1 Ppta.S1 (Kernel.push_ctx pag st.w_ctx i))
-          (Pag.exit_in pag x);
-        List.iter
-          (fun (i, y) ->
-            match Kernel.pop_ctx pag st.w_ctx i with
-            | Some c' -> go y f1 Ppta.S1 c'
-            | None -> ())
-          (Pag.entry_in pag x);
-        List.iter (fun y -> go y f1 Ppta.S1 Hstack.empty) (Pag.global_in pag x)
+        row Pag.View.exit_in x push;
+        row Pag.View.entry_in x pop;
+        row Pag.View.global_in x global
       | Ppta.S2 ->
-        List.iter
-          (fun (i, y) ->
-            match Kernel.pop_ctx pag st.w_ctx i with
-            | Some c' -> go y f1 Ppta.S2 c'
-            | None -> ())
-          (Pag.exit_out pag x);
-        List.iter
-          (fun (i, y) -> go y f1 Ppta.S2 (Kernel.push_ctx pag st.w_ctx i))
-          (Pag.entry_out pag x);
-        List.iter (fun y -> go y f1 Ppta.S2 Hstack.empty) (Pag.global_out pag x))
+        row Pag.View.exit_out x pop;
+        row Pag.View.entry_out x push;
+        row Pag.View.global_out x global)
     summary.Ppta.tuples;
   List.rev !acc
 

@@ -29,9 +29,6 @@ let compile ?(lang = Loc.Mjava) source =
         Mj.Lower.lower_program (Lazy.force Mj.Prelude.ast @ user)
       | Loc.Minifun -> Mf.Mf_lower.lower_program (Mf.Mf_parser.parse_program source))
 
-let compile_no_prelude source =
-  wrap Loc.Mjava (fun () -> Mj.Lower.lower_program (Mj.Parser.parse_program source))
-
 let comments ?(lang = Loc.Mjava) source =
   match lang with
   | Loc.Mjava -> Mj.Lexer.comments source

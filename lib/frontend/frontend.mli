@@ -21,10 +21,6 @@ val compile_file : ?lang:Loc.lang -> string -> Ir.program
 val lang_of_path : string -> Loc.lang
 (** [.mf]/[.minifun] files are MiniFun; anything else is MiniJava. *)
 
-val compile_no_prelude : string -> Ir.program
-(** MiniJava only, for tests that define their own [Object]; ordinary
-    callers want {!compile}. *)
-
 val comments : ?lang:Loc.lang -> string -> (string * Loc.pos) list
 (** All comment texts with the position of their opening delimiter, in
     source order, via the selected language's lexer. Never raises. *)

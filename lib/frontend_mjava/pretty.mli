@@ -5,12 +5,10 @@
     checks against the generator's output. Useful for normalising
     generated programs and for dumping fixtures. *)
 
-val typ_to_string : Ast.typ -> string
 val expr_to_string : Ast.expr -> string
 val program_to_string : Ast.program -> string
 
 (** {2 Structural equality modulo positions} *)
 
 val equal_expr : Ast.expr -> Ast.expr -> bool
-val equal_stmt : Ast.stmt -> Ast.stmt -> bool
 val equal_program : Ast.program -> Ast.program -> bool

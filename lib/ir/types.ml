@@ -93,7 +93,6 @@ let find_class_exn t name pos =
   | None -> err (Printf.sprintf "unknown class %s" name) pos
 
 let class_name t c = (info t c).ci_name
-let class_count t = t.n_classes
 let classes t = List.init t.n_classes (fun i -> i)
 let null_class t = t.c_null
 let is_array_class t c = (info t c).ci_is_array
@@ -228,9 +227,6 @@ let constructors t c = List.rev (info t c).ci_ctors
 
 let constructor t c arity =
   List.find_opt (fun m -> List.length m.ms_params = arity) (info t c).ci_ctors
-
-let own_methods t c =
-  List.rev_map snd (info t c).ci_methods @ List.rev (info t c).ci_ctors
 
 let method_count t = t.n_methods
 

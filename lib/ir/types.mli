@@ -50,7 +50,6 @@ val declare_class : t -> string -> Loc.pos -> cls
 val find_class : t -> string -> cls option
 val find_class_exn : t -> string -> Loc.pos -> cls
 val class_name : t -> cls -> string
-val class_count : t -> int
 val classes : t -> cls list
 val object_class : t -> cls
 val string_class : t -> cls
@@ -117,8 +116,6 @@ val constructor : t -> cls -> int -> method_sig option
     inherited). *)
 
 val constructors : t -> cls -> method_sig list
-
-val own_methods : t -> cls -> method_sig list
 
 val method_count : t -> int
 val method_sig : t -> int -> method_sig

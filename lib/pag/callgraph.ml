@@ -1,8 +1,6 @@
 type t = {
   n_methods : int;
   site_targets : (int, int list ref) Hashtbl.t;
-  method_callers : (int, (int * int) list ref) Hashtbl.t;
-  caller_sites : (int, int list ref) Hashtbl.t;
   edges : (int * int * int, unit) Hashtbl.t;
   graph : Pts_util.Digraph.t;
   mutable n_edges : int;
@@ -15,8 +13,6 @@ let create (prog : Ir.program) =
   {
     n_methods;
     site_targets = Hashtbl.create 256;
-    method_callers = Hashtbl.create 256;
-    caller_sites = Hashtbl.create 256;
     edges = Hashtbl.create 1024;
     graph;
     n_edges = 0;
@@ -33,10 +29,6 @@ let add_edge t ~site ~caller ~target =
   else begin
     Hashtbl.add t.edges key ();
     multi_add t.site_targets site target;
-    multi_add t.method_callers target (site, caller);
-    (match Hashtbl.find_opt t.caller_sites caller with
-    | Some r -> if not (List.mem site !r) then r := site :: !r
-    | None -> Hashtbl.add t.caller_sites caller (ref [ site ]));
     Pts_util.Digraph.add_edge t.graph caller target;
     t.n_edges <- t.n_edges + 1;
     true
@@ -45,8 +37,6 @@ let add_edge t ~site ~caller ~target =
 let find_list tbl key = match Hashtbl.find_opt tbl key with Some r -> !r | None -> []
 
 let targets t site = find_list t.site_targets site
-let callers_of t m = find_list t.method_callers m
-let sites_of_caller t m = find_list t.caller_sites m
 let edge_count t = t.n_edges
 
 let iter_edges t f = Hashtbl.iter (fun (site, caller, target) () -> f ~site ~caller ~target) t.edges

@@ -16,12 +16,6 @@ val add_edge : t -> site:int -> caller:int -> target:int -> bool
 val targets : t -> int -> int list
 (** Target method ids of a call site (empty if unresolved/dead). *)
 
-val callers_of : t -> int -> (int * int) list
-(** [(site, caller method)] pairs that may invoke the given method. *)
-
-val sites_of_caller : t -> int -> int list
-(** Call sites whose caller is the given method. *)
-
 val edge_count : t -> int
 
 val iter_edges : t -> (site:int -> caller:int -> target:int -> unit) -> unit

@@ -13,8 +13,6 @@
 
 type t
 
-val n_sides : int
-
 val create : unit -> t
 
 val add : t -> int -> int -> int -> int -> unit

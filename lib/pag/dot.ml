@@ -4,12 +4,8 @@ let escape s =
        (fun c -> match c with '"' -> "\\\"" | '\\' -> "\\\\" | c -> String.make 1 c)
        (List.init (String.length s) (String.get s)))
 
-let touched pag n =
-  Pag.new_in pag n <> [] || Pag.new_out pag n <> [] || Pag.assign_in pag n <> []
-  || Pag.assign_out pag n <> [] || Pag.global_in pag n <> [] || Pag.global_out pag n <> []
-  || Pag.load_in pag n <> [] || Pag.load_out pag n <> [] || Pag.store_in pag n <> []
-  || Pag.store_out pag n <> [] || Pag.entry_in pag n <> [] || Pag.entry_out pag n <> []
-  || Pag.exit_in pag n <> [] || Pag.exit_out pag n <> []
+(* the three classification flags between them cover all fourteen sides *)
+let touched pag n = Pag.has_local_edges pag n || Pag.has_global_in pag n || Pag.has_global_out pag n
 
 let pag ?(max_nodes = 400) pag_ =
   let prog = Pag.program pag_ in
@@ -48,29 +44,21 @@ let pag ?(max_nodes = 400) pag_ =
   let fld_name f = (Types.field_info prog.Ir.ctable f).Types.fld_name in
   for n = 0 to Pag.node_count pag_ - 1 do
     if mem n then begin
-      List.iter (fun o -> if mem o then pr "  n%d -> n%d [label=\"new\",penwidth=2];\n" o n) (Pag.new_in pag_ n);
-      List.iter (fun x -> if mem x then pr "  n%d -> n%d [label=\"assign\"];\n" x n) (Pag.assign_in pag_ n);
-      List.iter
-        (fun x -> if mem x then pr "  n%d -> n%d [label=\"assignglobal\",style=dotted];\n" x n)
-        (Pag.global_in pag_ n);
-      List.iter
-        (fun (f, b) -> if mem b then pr "  n%d -> n%d [label=\"load(%s)\",color=darkgreen];\n" b n (escape (fld_name f)))
-        (Pag.load_in pag_ n);
-      List.iter
-        (fun (f, s) -> if mem s then pr "  n%d -> n%d [label=\"store(%s)\",color=brown];\n" s n (escape (fld_name f)))
-        (Pag.store_in pag_ n);
-      List.iter
-        (fun (i, a) ->
-          if mem a then
-            pr "  n%d -> n%d [label=\"entry%d\",style=dashed%s];\n" a n i
-              (if Pag.is_recursive_site pag_ i then ",color=red" else ""))
-        (Pag.entry_in pag_ n);
-      List.iter
-        (fun (i, r) ->
-          if mem r then
-            pr "  n%d -> n%d [label=\"exit%d\",style=dashed%s];\n" r n i
-              (if Pag.is_recursive_site pag_ i then ",color=red" else ""))
-        (Pag.exit_in pag_ n)
+      let row side f = Pag.View.fold pag_ side n (fun a x () -> if mem x then f a x) () in
+      row Pag.View.new_in (fun _ o -> pr "  n%d -> n%d [label=\"new\",penwidth=2];\n" o n);
+      row Pag.View.assign_in (fun _ x -> pr "  n%d -> n%d [label=\"assign\"];\n" x n);
+      row Pag.View.global_in (fun _ x ->
+          pr "  n%d -> n%d [label=\"assignglobal\",style=dotted];\n" x n);
+      row Pag.View.load_in (fun f b ->
+          pr "  n%d -> n%d [label=\"load(%s)\",color=darkgreen];\n" b n (escape (fld_name f)));
+      row Pag.View.store_in (fun f s ->
+          pr "  n%d -> n%d [label=\"store(%s)\",color=brown];\n" s n (escape (fld_name f)));
+      let call label i x =
+        pr "  n%d -> n%d [label=\"%s%d\",style=dashed%s];\n" x n label i
+          (if Pag.is_recursive_site pag_ i then ",color=red" else "")
+      in
+      row Pag.View.entry_in (call "entry");
+      row Pag.View.exit_in (call "exit")
     end
   done;
   pr "}\n";

@@ -32,23 +32,6 @@ type adj = {
    site, parallel to [dst]; [||] for unlabelled slabs). *)
 type slab = { off : int array; dst : int array; aux : int array }
 
-type packed = {
-  p_new_in : slab;
-  p_new_out : slab;
-  p_assign_in : slab;
-  p_assign_out : slab;
-  p_global_in : slab;
-  p_global_out : slab;
-  p_load_in : slab;
-  p_load_out : slab;
-  p_store_in : slab;
-  p_store_out : slab;
-  p_entry_in : slab;
-  p_entry_out : slab;
-  p_exit_in : slab;
-  p_exit_out : slab;
-}
-
 type edge_counts = {
   n_new : int;
   n_assign : int;
@@ -70,7 +53,7 @@ type t = {
   mutable recursive_sites : bool array;
   mutable counts : edge_counts;
   mutable frozen : bool;
-  mutable packed : packed option; (* the read side, valid after freeze *)
+  mutable slabs : slab array; (* the read side, one per side; [||] until freeze *)
   mutable flag_local : Bytes.t; (* per-node flags, valid after freeze *)
   mutable flag_gin : Bytes.t;
   mutable flag_gout : Bytes.t;
@@ -169,7 +152,7 @@ let create (prog : Ir.program) =
       { n_new = 0; n_assign = 0; n_load = 0; n_store = 0; n_entry = 0; n_exit = 0;
         n_assign_global = 0 };
     frozen = false;
-    packed = None;
+    slabs = [||];
     flag_local = Bytes.empty;
     flag_gin = Bytes.empty;
     flag_gout = Bytes.empty;
@@ -221,9 +204,6 @@ let is_obj t n = n >= t.obj_base && n < t.n_nodes
 
 let obj_site t n =
   if is_obj t n then n - t.obj_base else invalid_arg "Pag.obj_site: not an object node"
-
-let method_of_node t n =
-  match kind t n with Local { meth; _ } -> Some meth | Global _ | Obj _ -> None
 
 let node_name t n =
   match kind t n with
@@ -340,7 +320,8 @@ let edge_hash tag a b aux = mix (mix (mix (mix (tag + 1) + a) + b) + aux)
 (* ------------------------- overlay side ids ------------------------- *)
 
 (* One id per packed slab; [Delta] stores overlay edges per side under
-   these indices. Unlabelled sides keep aux = 0. *)
+   these indices, [freeze] orders the slab array by them and [View.fold]
+   matches on them. Unlabelled sides keep aux = 0. *)
 let s_new_in = 0
 let s_new_out = 1
 let s_assign_in = 2
@@ -392,24 +373,9 @@ let pack_pairs n_nodes adjs select =
   done;
   { off; dst; aux }
 
-let degree s n = s.off.(n + 1) - s.off.(n)
-
-(* Post-freeze list views, reconstructed from the slabs (cold paths only;
-   the kernel iterates the arrays directly). *)
-let slab_nodes s n =
-  let lo = s.off.(n) in
-  let rec go k acc = if k < lo then acc else go (k - 1) (s.dst.(k) :: acc) in
-  go (s.off.(n + 1) - 1) []
-
-let slab_pairs s n =
-  let lo = s.off.(n) in
-  let rec go k acc = if k < lo then acc else go (k - 1) ((s.aux.(k), s.dst.(k)) :: acc) in
-  go (s.off.(n + 1) - 1) []
-
+(* The slabs by side; [freeze] fills them. *)
 let packed t =
-  match t.packed with
-  | Some p -> p
-  | None -> invalid_arg "Pag.packed: call Pag.freeze first"
+  if t.frozen then t.slabs else invalid_arg "Pag.packed: call Pag.freeze first"
 
 let freeze t =
   if not t.frozen then begin
@@ -431,24 +397,24 @@ let freeze t =
     done;
     let nn = t.n_nodes in
     let adjs = t.adjs in
-    t.packed <-
-      Some
-        {
-          p_new_in = pack_nodes nn adjs (fun a -> a.new_in);
-          p_new_out = pack_nodes nn adjs (fun a -> a.new_out);
-          p_assign_in = pack_nodes nn adjs (fun a -> a.assign_in);
-          p_assign_out = pack_nodes nn adjs (fun a -> a.assign_out);
-          p_global_in = pack_nodes nn adjs (fun a -> a.global_in);
-          p_global_out = pack_nodes nn adjs (fun a -> a.global_out);
-          p_load_in = pack_pairs nn adjs (fun a -> a.load_in);
-          p_load_out = pack_pairs nn adjs (fun a -> a.load_out);
-          p_store_in = pack_pairs nn adjs (fun a -> a.store_in);
-          p_store_out = pack_pairs nn adjs (fun a -> a.store_out);
-          p_entry_in = pack_pairs nn adjs (fun a -> a.entry_in);
-          p_entry_out = pack_pairs nn adjs (fun a -> a.entry_out);
-          p_exit_in = pack_pairs nn adjs (fun a -> a.exit_in);
-          p_exit_out = pack_pairs nn adjs (fun a -> a.exit_out);
-        };
+    (* in side order: [slabs.(side)] is the side's CSR slab *)
+    t.slabs <-
+      [|
+        pack_nodes nn adjs (fun a -> a.new_in);
+        pack_nodes nn adjs (fun a -> a.new_out);
+        pack_nodes nn adjs (fun a -> a.assign_in);
+        pack_nodes nn adjs (fun a -> a.assign_out);
+        pack_nodes nn adjs (fun a -> a.global_in);
+        pack_nodes nn adjs (fun a -> a.global_out);
+        pack_pairs nn adjs (fun a -> a.load_in);
+        pack_pairs nn adjs (fun a -> a.load_out);
+        pack_pairs nn adjs (fun a -> a.store_in);
+        pack_pairs nn adjs (fun a -> a.store_out);
+        pack_pairs nn adjs (fun a -> a.entry_in);
+        pack_pairs nn adjs (fun a -> a.entry_out);
+        pack_pairs nn adjs (fun a -> a.exit_in);
+        pack_pairs nn adjs (fun a -> a.exit_out);
+      |];
     (* per-field indices, eagerly: the frozen graph must need no further
        writes, so concurrent readers never race on a lazy memo *)
     for b = 0 to t.n_nodes - 1 do
@@ -483,103 +449,6 @@ let freeze t =
     t.adjs <- [||]
   end
 
-(* Overlay composition for the list accessors: base slab minus tombstones,
-   then overlay edges in insertion order. With no delta both helpers are
-   the identity on the slab view. *)
-let overlay_nodes t i n base =
-  match t.delta with
-  | None -> base
-  | Some d ->
-    let base =
-      if Delta.has_deletions d i then
-        List.filter (fun x -> not (Delta.is_deleted d i n 0 x)) base
-      else base
-    in
-    (match Delta.added_at d i n with [] -> base | l -> base @ List.map snd l)
-
-let overlay_pairs t i n base =
-  match t.delta with
-  | None -> base
-  | Some d ->
-    let base =
-      if Delta.has_deletions d i then
-        List.filter (fun (a, o) -> not (Delta.is_deleted d i n a o)) base
-      else base
-    in
-    (match Delta.added_at d i n with [] -> base | l -> base @ l)
-
-(* Adjacency accessors: CSR views (composed with the edit overlay) once
-   frozen, build-side lists before. *)
-let new_in t n =
-  match t.packed with
-  | Some p -> overlay_nodes t s_new_in n (slab_nodes p.p_new_in n)
-  | None -> (adj t n).new_in
-
-let new_out t n =
-  match t.packed with
-  | Some p -> overlay_nodes t s_new_out n (slab_nodes p.p_new_out n)
-  | None -> (adj t n).new_out
-
-let assign_in t n =
-  match t.packed with
-  | Some p -> overlay_nodes t s_assign_in n (slab_nodes p.p_assign_in n)
-  | None -> (adj t n).assign_in
-
-let assign_out t n =
-  match t.packed with
-  | Some p -> overlay_nodes t s_assign_out n (slab_nodes p.p_assign_out n)
-  | None -> (adj t n).assign_out
-
-let global_in t n =
-  match t.packed with
-  | Some p -> overlay_nodes t s_global_in n (slab_nodes p.p_global_in n)
-  | None -> (adj t n).global_in
-
-let global_out t n =
-  match t.packed with
-  | Some p -> overlay_nodes t s_global_out n (slab_nodes p.p_global_out n)
-  | None -> (adj t n).global_out
-
-let load_in t n =
-  match t.packed with
-  | Some p -> overlay_pairs t s_load_in n (slab_pairs p.p_load_in n)
-  | None -> (adj t n).load_in
-
-let load_out t n =
-  match t.packed with
-  | Some p -> overlay_pairs t s_load_out n (slab_pairs p.p_load_out n)
-  | None -> (adj t n).load_out
-
-let store_in t n =
-  match t.packed with
-  | Some p -> overlay_pairs t s_store_in n (slab_pairs p.p_store_in n)
-  | None -> (adj t n).store_in
-
-let store_out t n =
-  match t.packed with
-  | Some p -> overlay_pairs t s_store_out n (slab_pairs p.p_store_out n)
-  | None -> (adj t n).store_out
-
-let entry_in t n =
-  match t.packed with
-  | Some p -> overlay_pairs t s_entry_in n (slab_pairs p.p_entry_in n)
-  | None -> (adj t n).entry_in
-
-let entry_out t n =
-  match t.packed with
-  | Some p -> overlay_pairs t s_entry_out n (slab_pairs p.p_entry_out n)
-  | None -> (adj t n).entry_out
-
-let exit_in t n =
-  match t.packed with
-  | Some p -> overlay_pairs t s_exit_in n (slab_pairs p.p_exit_in n)
-  | None -> (adj t n).exit_in
-
-let exit_out t n =
-  match t.packed with
-  | Some p -> overlay_pairs t s_exit_out n (slab_pairs p.p_exit_out n)
-  | None -> (adj t n).exit_out
-
 let scan_field t f ~index ~select =
   if t.frozen then Option.value ~default:[] (Hashtbl.find_opt index f)
   else begin
@@ -610,27 +479,16 @@ let has_global_out t n =
 
 (* ------------------------- unified view ----------------------------- *)
 
-let slab_of_side p = function
-  | 0 -> p.p_new_in
-  | 1 -> p.p_new_out
-  | 2 -> p.p_assign_in
-  | 3 -> p.p_assign_out
-  | 4 -> p.p_global_in
-  | 5 -> p.p_global_out
-  | 6 -> p.p_load_in
-  | 7 -> p.p_load_out
-  | 8 -> p.p_store_in
-  | 9 -> p.p_store_out
-  | 10 -> p.p_entry_in
-  | 11 -> p.p_entry_out
-  | 12 -> p.p_exit_in
-  | 13 -> p.p_exit_out
-  | _ -> invalid_arg "Pag.slab_of_side"
+let rec fold_nodes f l acc = match l with [] -> acc | x :: r -> fold_nodes f r (f 0 x acc)
+
+let rec fold_pairs f l acc = match l with [] -> acc | (a, x) :: r -> fold_pairs f r (f a x acc)
 
 (* The row-level view the engines traverse: a node's base-slab row (whose
    edges need the tombstone probe only when the side has deletions), then
-   its overlay edges in insertion order. Callers walk these with plain
-   loops, so nothing on the traversal path allocates. *)
+   its overlay edges in insertion order. The kernel walks these with plain
+   loops, so nothing on the traversal path allocates; [fold] is the one
+   composed reader for everything else, and the only one that also reads
+   the build-side lists before [freeze]. *)
 module View = struct
   type side = int
 
@@ -649,7 +507,7 @@ module View = struct
   let exit_in = s_exit_in
   let exit_out = s_exit_out
 
-  let slab t side = slab_of_side (packed t) side
+  let slab t side = (packed t).(side)
 
   let overlaid t = Option.is_some t.delta
 
@@ -661,8 +519,38 @@ module View = struct
 
   let added t side n = match t.delta with Some d -> Delta.added_at d side n | None -> []
 
+  let fold t side n f acc =
+    if not t.frozen then begin
+      let a = t.adjs.(n) in
+      match side with
+      | 0 -> fold_nodes f a.new_in acc
+      | 1 -> fold_nodes f a.new_out acc
+      | 2 -> fold_nodes f a.assign_in acc
+      | 3 -> fold_nodes f a.assign_out acc
+      | 4 -> fold_nodes f a.global_in acc
+      | 5 -> fold_nodes f a.global_out acc
+      | 6 -> fold_pairs f a.load_in acc
+      | 7 -> fold_pairs f a.load_out acc
+      | 8 -> fold_pairs f a.store_in acc
+      | 9 -> fold_pairs f a.store_out acc
+      | 10 -> fold_pairs f a.entry_in acc
+      | 11 -> fold_pairs f a.entry_out acc
+      | 12 -> fold_pairs f a.exit_in acc
+      | _ -> fold_pairs f a.exit_out acc
+    end
+    else begin
+      let s = t.slabs.(side) in
+      let labelled = Array.length s.aux > 0 and tomb = tombstoned t side in
+      let acc = ref acc in
+      for k = s.off.(n) to s.off.(n + 1) - 1 do
+        let a = if labelled then s.aux.(k) else 0 and x = s.dst.(k) in
+        if not (tomb && is_deleted t side n a x) then acc := f a x !acc
+      done;
+      fold_pairs f (added t side n) !acc
+    end
+
   let has_new_in t n =
-    let s = (packed t).p_new_in in
+    let s = (packed t).(s_new_in) in
     match t.delta with
     | None -> s.off.(n + 1) > s.off.(n)
     | Some d ->
@@ -791,25 +679,16 @@ let touched_counts t =
     if touched then
       if i >= t.obj_base then incr objs else if i >= t.global_base then incr globals else incr locals
   in
-  (match t.packed with
-  | Some p ->
-    for i = 0 to t.n_nodes - 1 do
-      tally i
-        (degree p.p_new_in i > 0 || degree p.p_new_out i > 0 || degree p.p_assign_in i > 0
-        || degree p.p_assign_out i > 0 || degree p.p_global_in i > 0 || degree p.p_global_out i > 0
-        || degree p.p_load_in i > 0 || degree p.p_load_out i > 0 || degree p.p_store_in i > 0
-        || degree p.p_store_out i > 0 || degree p.p_entry_in i > 0 || degree p.p_entry_out i > 0
-        || degree p.p_exit_in i > 0 || degree p.p_exit_out i > 0)
-    done
-  | None ->
-    for i = 0 to t.n_nodes - 1 do
-      let a = t.adjs.(i) in
-      tally i
-        (a.new_in <> [] || a.new_out <> [] || a.assign_in <> [] || a.assign_out <> []
-        || a.global_in <> [] || a.global_out <> [] || a.load_in <> [] || a.load_out <> []
-        || a.store_in <> [] || a.store_out <> [] || a.entry_in <> [] || a.entry_out <> []
-        || a.exit_in <> [] || a.exit_out <> [])
-    done);
+  for i = 0 to t.n_nodes - 1 do
+    tally i
+      (if t.frozen then Array.exists (fun s -> s.off.(i + 1) > s.off.(i)) t.slabs
+       else
+         let a = t.adjs.(i) in
+         a.new_in <> [] || a.new_out <> [] || a.assign_in <> [] || a.assign_out <> []
+         || a.global_in <> [] || a.global_out <> [] || a.load_in <> [] || a.load_out <> []
+         || a.store_in <> [] || a.store_out <> [] || a.entry_in <> [] || a.entry_out <> []
+         || a.exit_in <> [] || a.exit_out <> [])
+  done;
   (!objs, !locals, !globals)
 
 (* --------------------------- post-freeze edits ----------------------- *)
@@ -889,7 +768,7 @@ let canon = function
    lock-step by construction. *)
 let view_mem t c =
   let in_base =
-    let slab = slab_of_side (packed t) c.e_in_side in
+    let slab = (packed t).(c.e_in_side) in
     let hi = slab.off.(c.e_in_node + 1) - 1 in
     let has_aux = Array.length slab.aux > 0 in
     let rec scan k =
@@ -931,15 +810,14 @@ let index_remove idx f pair =
     Hashtbl.replace idx f (drop l)
 
 let recompute_flags t n =
-  let local =
-    new_in t n <> [] || new_out t n <> [] || assign_in t n <> [] || assign_out t n <> []
-    || load_in t n <> [] || load_out t n <> [] || store_in t n <> [] || store_out t n <> []
+  let set flags sides =
+    let any = List.exists (fun side -> View.fold t side n (fun _ _ _ -> true) false) sides in
+    Bytes.set flags n (if any then '\001' else '\000')
   in
-  Bytes.set t.flag_local n (if local then '\001' else '\000');
-  let gin = global_in t n <> [] || entry_in t n <> [] || exit_in t n <> [] in
-  Bytes.set t.flag_gin n (if gin then '\001' else '\000');
-  let gout = global_out t n <> [] || entry_out t n <> [] || exit_out t n <> [] in
-  Bytes.set t.flag_gout n (if gout then '\001' else '\000')
+  set t.flag_local
+    [ s_new_in; s_new_out; s_assign_in; s_assign_out; s_load_in; s_load_out; s_store_in; s_store_out ];
+  set t.flag_gin [ s_global_in; s_entry_in; s_exit_in ];
+  set t.flag_gout [ s_global_out; s_entry_out; s_exit_out ]
 
 (* Insertions can grow true points-to sets, so the frozen Andersen rows
    may under-approximate — unsound to refute with — on every node forward-
@@ -968,13 +846,12 @@ let invalidate_oracle t seeds =
         Bytes.set t.oracle_valid n '\000';
         incr fresh
       end;
-      List.iter push (assign_out t n);
-      List.iter push (global_out t n);
-      List.iter (fun (_, m) -> push m) (entry_out t n);
-      List.iter (fun (_, m) -> push m) (exit_out t n);
       List.iter
-        (fun (f, _) -> List.iter (fun (_, dst) -> push dst) (loads_of_field t f))
-        (store_out t n)
+        (fun side -> View.fold t side n (fun _ m () -> push m) ())
+        [ s_assign_out; s_global_out; s_entry_out; s_exit_out ];
+      View.fold t s_store_out n
+        (fun f _ () -> List.iter (fun (_, dst) -> push dst) (loads_of_field t f))
+        ()
     done;
     !fresh
   end
@@ -1009,9 +886,9 @@ let apply_edits t edits =
           | Enew { obj_; dst = _ } ->
             if not (is_obj t obj_) then
               invalid_arg "Pag.apply_edits: Enew source is not an object node";
-            (match new_out t obj_ with
-            | [] -> ()
-            | existing :: _ ->
+            (match View.fold t s_new_out obj_ (fun _ x _ -> Some x) None with
+            | None -> ()
+            | Some existing ->
               invalid_arg
                 (Printf.sprintf "Pag.apply_edits: allocation %s already flows to %s"
                    (node_name t obj_) (node_name t existing)))

@@ -75,31 +75,10 @@ val freeze : t -> unit
     of materialising lists. Edges of node [n] in a slab [s] occupy
     [s.off.(n) .. s.off.(n+1) - 1] of [s.dst]; for the labelled slabs
     (load/store/entry/exit) the parallel [s.aux] carries the field or
-    call-site id, and for the unlabelled ones it is [[||]]. *)
+    call-site id, and for the unlabelled ones it is [[||]]. {!View.slab}
+    returns a side's slab. *)
 
 type slab = private { off : int array; dst : int array; aux : int array }
-
-type packed = private {
-  p_new_in : slab;
-  p_new_out : slab;
-  p_assign_in : slab;
-  p_assign_out : slab;
-  p_global_in : slab;
-  p_global_out : slab;
-  p_load_in : slab;
-  p_load_out : slab;
-  p_store_in : slab;
-  p_store_out : slab;
-  p_entry_in : slab;
-  p_entry_out : slab;
-  p_exit_in : slab;
-  p_exit_out : slab;
-}
-
-val packed : t -> packed
-(** @raise Invalid_argument before {!freeze}. *)
-
-val degree : slab -> node -> int
 
 (** {2 Node accessors} *)
 
@@ -117,49 +96,7 @@ val obj_site : t -> node -> int
 val node_name : t -> node -> string
 (** Human-readable, e.g. ["Vector.add::p"], ["Client.vec$static"], ["o26"]. *)
 
-val method_of_node : t -> node -> int option
-(** Enclosing method for locals; [None] for globals and objects. *)
-
-(** {2 Adjacency (direction of value flow)}
-
-    List views: backed by the build-side lists before {!freeze} and
-    reconstructed from the CSR slabs afterwards (allocating — cold paths
-    only; hot loops walk {!View} rows). *)
-
-val new_in : t -> node -> node list
-(** At a variable [v]: objects [o] with [o -new-> v]. *)
-
-val new_out : t -> node -> node list
-(** At an object [o]: its (unique) destination variable, or [] . *)
-
-val assign_in : t -> node -> node list
-val assign_out : t -> node -> node list
-val global_in : t -> node -> node list
-val global_out : t -> node -> node list
-
-val load_in : t -> node -> (fld * node) list
-(** At a load destination [v]: pairs [(f, base)] with [v = base.f]. *)
-
-val load_out : t -> node -> (fld * node) list
-(** At a base [b]: pairs [(f, dst)] with [dst = b.f]. *)
-
-val store_in : t -> node -> (fld * node) list
-(** At a base [b]: pairs [(f, src)] with [b.f = src]. *)
-
-val store_out : t -> node -> (fld * node) list
-(** At a source [s]: pairs [(f, base)] with [base.f = s]. *)
-
-val entry_in : t -> node -> (site * node) list
-(** At a formal [p]: pairs [(i, actual)]. *)
-
-val entry_out : t -> node -> (site * node) list
-(** At an actual [a]: pairs [(i, formal)]. *)
-
-val exit_in : t -> node -> (site * node) list
-(** At a caller-side destination [d]: pairs [(i, retval)]. *)
-
-val exit_out : t -> node -> (site * node) list
-(** At a callee return value [r]: pairs [(i, dst)]. *)
+(** {2 Per-field index and call sites} *)
 
 val loads_of_field : t -> fld -> (node * node) list
 (** All [(base, dst)] load edges of a field, program-wide. *)
@@ -269,15 +206,18 @@ val touched_counts : t -> int * int * int
 (** [(objs, locals, globals)] with at least one incident edge — the
     reachable part of the graph, which is what Table 3 reports. *)
 
-(** {2 Row view (base + overlay) — requires {!freeze}}
+(** {2 Row view (base + overlay)}
 
-    The allocation-free adjacency the engines traverse. A node's edges on
-    a side are its frozen CSR row [(slab t side).off.(n) ..
-    (slab t side).off.(n+1) - 1], minus the base edges {!View.is_deleted}
-    reports (probe only when {!View.tombstoned}), followed by the
-    {!View.added} overlay edges in insertion order. With no pending edits
-    ({!View.overlaid} is [false]) the row is the whole answer. Unlabelled
-    sides have an empty [aux] and probe tombstones with aux [0]. *)
+    The PAG's one read API for adjacency. A node's edges on a side are,
+    before {!freeze}, its build-side list; after it, its frozen CSR row
+    [(slab t side).off.(n) .. (slab t side).off.(n+1) - 1], minus the
+    base edges {!View.is_deleted} reports (probe only when
+    {!View.tombstoned}), followed by the {!View.added} overlay edges in
+    insertion order. With no pending edits ({!View.overlaid} is [false])
+    the row is the whole answer. {!View.fold} composes all of that for
+    cold paths; the CFL kernel composes it itself with plain loops, so
+    walking a row allocates nothing. Unlabelled sides have an empty [aux]
+    and report aux [0]. Everything but {!View.fold} requires {!freeze}. *)
 
 module View : sig
   type side = private int
@@ -303,7 +243,8 @@ module View : sig
   val exit_out : side
 
   val slab : t -> side -> slab
-  (** The frozen CSR slab of a side (the same record as in {!packed}). *)
+  (** The frozen CSR slab of a side.
+      @raise Invalid_argument before {!freeze}. *)
 
   val overlaid : t -> bool
   (** Has any edit batch been applied? [false] means every row is exactly
@@ -320,6 +261,15 @@ module View : sig
   (** The node's overlay edges [(aux, other)] on a side, in insertion
       order; [[]] without an overlay. Does not allocate. *)
 
+  val fold : t -> side -> node -> (int -> node -> 'a -> 'a) -> 'a -> 'a
+  (** [fold t side n f acc] folds [f aux other] over the node's live
+      edges on [side] in row order: the build-side list before {!freeze}
+      (read in place, not copied); after it, the slab row minus
+      tombstones, then the overlay additions in insertion order. Freezing
+      packs each list into its slab in list order, so a row reads the
+      same on both sides of {!freeze}. For cold paths: [f] is a closure
+      call per edge. *)
+
   val has_new_in : t -> node -> bool
   (** Any [new] edge into this variable in the current view? Constant
       time on an unedited graph. *)
@@ -328,8 +278,7 @@ end
 (** {2 Post-freeze edits}
 
     The frozen slabs stay immutable; edits accumulate in a delta overlay
-    that every list accessor composes on the fly and {!View} exposes row
-    by row.
+    that {!View} exposes row by row.
     Each {!apply_edits} batch bumps the {!epoch} and returns the set of
     dirty nodes so summary caches can invalidate exactly the entries
     whose derivations touched them. Edits must happen strictly between

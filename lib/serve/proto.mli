@@ -38,12 +38,9 @@ type request = {
 
 val op_name : op -> string
 
-val of_json : Trace.Json.t -> (request, string * string) result
-(** Decode a parsed request object; [Error (code, msg)] uses the
-    structured-error codes above. *)
-
 val of_line : string -> (request, string * string) result
-(** Parse then decode one request line. *)
+(** Parse then decode one request line; [Error (code, msg)] uses the
+    structured-error codes above. *)
 
 val ok : id:Trace.Json.t -> op:string -> (string * Trace.Json.t) list -> Trace.Json.t
 (** Success envelope: [{"id":...,"ok":true,"op":...,<fields>}]. *)

@@ -29,7 +29,7 @@ let run ?stats pag ~sources =
       let rec go v =
         if not (Hashtbl.mem seen v) then begin
           Hashtbl.replace seen v ();
-          List.iter go (Pag.assign_out pag v)
+          Pag.View.fold pag Pag.View.assign_out v (fun _ w () -> go w) ()
         end
       in
       go u;
@@ -42,7 +42,8 @@ let run ?stats pag ~sources =
     let fields = Hashtbl.create 8 in
     let work = Queue.create () in
     let push v = if not (Bitset.mem visited v) then Queue.add v work in
-    List.iter push (Pag.new_out pag (Pag.obj_node pag src_site));
+    let push_row side x = Pag.View.fold pag side x (fun _ y () -> push y) () in
+    push_row Pag.View.new_out (Pag.obj_node pag src_site);
     while not (Queue.is_empty work) do
       let u = Queue.pop work in
       if not (Bitset.mem visited u) then begin
@@ -50,16 +51,16 @@ let run ?stats pag ~sources =
         List.iter (fun x -> ignore (Bitset.add visited x)) cl;
         List.iter
           (fun x ->
-            List.iter push (Pag.global_out pag x);
-            List.iter (fun (_, y) -> push y) (Pag.entry_out pag x);
-            List.iter (fun (_, y) -> push y) (Pag.exit_out pag x);
-            List.iter
-              (fun (f, _) ->
+            push_row Pag.View.global_out x;
+            push_row Pag.View.entry_out x;
+            push_row Pag.View.exit_out x;
+            Pag.View.fold pag Pag.View.store_out x
+              (fun f _ () ->
                 if not (Hashtbl.mem fields f) then begin
                   Hashtbl.replace fields f ();
                   List.iter (fun (_, dst) -> push dst) (Pag.loads_of_field pag f)
                 end)
-              (Pag.store_out pag x))
+              ())
           cl
       end
     done;

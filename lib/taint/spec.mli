@@ -23,12 +23,6 @@ type t = {
   sink_lines : int list;  (** sorted *)
 }
 
-val source_annotation : string
-(** ["@taint-source"] *)
-
-val sink_annotation : string
-(** ["@taint-sink"] *)
-
 val default : t
 (** Prefixes [getSecret*] / [send*], no annotated lines. *)
 
@@ -44,9 +38,6 @@ val of_source : ?base:t -> ?lang:Loc.lang -> string -> t
 (** [base] (default {!default}) extended with the annotation lines
     scanned from the program text with the selected language's lexer
     ([lang] defaults to MiniJava). *)
-
-val is_source_method : t -> string -> bool
-val is_sink_method : t -> string -> bool
 
 val source_sites : t -> Ir.program -> int list
 (** Allocation-site ids of all sources, in site order. *)

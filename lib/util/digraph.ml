@@ -31,8 +31,6 @@ let node_count t = t.n
 
 let succ t v = if v < t.n then t.succs.(v) else []
 
-let mem_edge t u v = Hashtbl.mem t.edges (u, v)
-
 let iter_edges t f =
   for u = 0 to t.n - 1 do
     List.iter (fun v -> f u v) t.succs.(u)
@@ -98,8 +96,6 @@ let scc t =
     if index.(v) = -1 then visit v
   done;
   (comp, !next_comp)
-
-let same_scc ~comp u v = u < Array.length comp && v < Array.length comp && comp.(u) = comp.(v)
 
 let reachable_from t roots =
   let seen = Array.make (max t.n 1) false in

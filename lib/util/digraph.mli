@@ -18,8 +18,6 @@ val node_count : t -> int
 val succ : t -> int -> int list
 (** Successors of a node, unordered. *)
 
-val mem_edge : t -> int -> int -> bool
-
 val iter_edges : t -> (int -> int -> unit) -> unit
 
 val scc : t -> int array * int
@@ -27,8 +25,6 @@ val scc : t -> int array * int
     in reverse topological order of the condensation (a successor's component
     index is <= the node's), and [count] the number of components. Tarjan's
     algorithm, iterative (no stack overflow on deep graphs). *)
-
-val same_scc : comp:int array -> int -> int -> bool
 
 val reachable_from : t -> int list -> bool array
 (** Forward reachability from a set of roots. *)

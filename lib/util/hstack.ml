@@ -65,13 +65,6 @@ let of_list l = List.fold_left push empty (List.rev l)
 
 let rebase t = of_list (to_list t)
 
-let pp pp_elt fmt t =
-  Format.fprintf fmt "[%a]"
-    (Format.pp_print_list ~pp_sep:(fun f () -> Format.fprintf f ", ") pp_elt)
-    (to_list t)
-
-let table_size () = Cache.length (Domain.DLS.get store_key).cache
-
 module Tbl = Hashtbl.Make (struct
   type nonrec t = t
 

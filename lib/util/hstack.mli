@@ -67,12 +67,5 @@ val rebase : t -> t
     domain boundary is pushed on or used as a key; a no-op (up to
     physical identity) for stacks already interned here. *)
 
-val pp : (Format.formatter -> int -> unit) -> Format.formatter -> t -> unit
-(** [pp pp_elt fmt s] prints [\[x1, x2, ...\]] top-first. *)
-
-val table_size : unit -> int
-(** Number of distinct stacks ever created {e in this domain}
-    (diagnostics). *)
-
 module Tbl : Hashtbl.S with type key = t
 (** Hash tables keyed by stacks, using the O(1) equality/hash above. *)

@@ -43,11 +43,6 @@ let choose t arr =
   if Array.length arr = 0 then invalid_arg "Prng.choose: empty array";
   arr.(int t (Array.length arr))
 
-let choose_list t xs =
-  match xs with
-  | [] -> invalid_arg "Prng.choose_list: empty list"
-  | _ -> List.nth xs (int t (List.length xs))
-
 let weighted t cases =
   let total = List.fold_left (fun acc (w, _) -> acc + max 0 w) 0 cases in
   if total <= 0 then invalid_arg "Prng.weighted: no positive weight";

@@ -39,9 +39,6 @@ val chance : t -> float -> bool
 val choose : t -> 'a array -> 'a
 (** Uniform element of a non-empty array. @raise Invalid_argument on [||]. *)
 
-val choose_list : t -> 'a list -> 'a
-(** Uniform element of a non-empty list. *)
-
 val weighted : t -> (int * 'a) list -> 'a
 (** [weighted t cases] picks a case with probability proportional to its
     non-negative integer weight. @raise Invalid_argument if all weights are

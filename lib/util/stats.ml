@@ -32,10 +32,3 @@ let time f =
   let x = f () in
   (x, Unix.gettimeofday () -. t0)
 
-let time_n n f =
-  let best = ref infinity in
-  for _ = 1 to max n 1 do
-    let _, dt = time f in
-    if dt < !best then best := dt
-  done;
-  !best

@@ -36,6 +36,3 @@ val pp : Format.formatter -> t -> unit
 val time : (unit -> 'a) -> 'a * float
 (** [time f] runs [f] and returns its result with elapsed seconds. *)
 
-val time_n : int -> (unit -> 'a) -> float
-(** [time_n n f] runs [f] [n] times and returns the {e minimum} elapsed
-    seconds over the runs (the usual robust estimator for benchmarks). *)

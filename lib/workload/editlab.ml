@@ -44,7 +44,7 @@ let budget_limit = 2_000_000
 let conf_for name =
   if String.equal name "stasum" then
     (* keep STASUM's offline enumeration bounded, as the benches do *)
-    Engine.conf ~budget_limit ~max_field_depth:4 ~overflow:Engine.Widen ()
+    Engine.conf ~budget_limit ~max_field_depth:4 ()
   else Engine.conf ~budget_limit ()
 
 let engine_names = [ "norefine"; "refinepts"; "dynsum"; "stasum" ]

@@ -16,21 +16,14 @@ module Prng = Pts_util.Prng
 let existing_edges pag =
   let acc = ref [] in
   for v = 0 to Pag.node_count pag - 1 do
-    List.iter (fun o -> acc := Pag.Enew { obj_ = o; dst = v } :: !acc) (Pag.new_in pag v);
-    List.iter (fun s -> acc := Pag.Eassign { src = s; dst = v } :: !acc) (Pag.assign_in pag v);
-    List.iter (fun s -> acc := Pag.Eglobal { src = s; dst = v } :: !acc) (Pag.global_in pag v);
-    List.iter
-      (fun (f, b) -> acc := Pag.Eload { base = b; fld = f; dst = v } :: !acc)
-      (Pag.load_in pag v);
-    List.iter
-      (fun (f, s) -> acc := Pag.Estore { base = v; fld = f; src = s } :: !acc)
-      (Pag.store_in pag v);
-    List.iter
-      (fun (i, a) -> acc := Pag.Eentry { site = i; actual = a; formal = v } :: !acc)
-      (Pag.entry_in pag v);
-    List.iter
-      (fun (i, r) -> acc := Pag.Eexit { site = i; retval = r; dst = v } :: !acc)
-      (Pag.exit_in pag v)
+    let row side edit = acc := Pag.View.fold pag side v (fun a x acc -> edit a x :: acc) !acc in
+    row Pag.View.new_in (fun _ o -> Pag.Enew { obj_ = o; dst = v });
+    row Pag.View.assign_in (fun _ s -> Pag.Eassign { src = s; dst = v });
+    row Pag.View.global_in (fun _ s -> Pag.Eglobal { src = s; dst = v });
+    row Pag.View.load_in (fun f b -> Pag.Eload { base = b; fld = f; dst = v });
+    row Pag.View.store_in (fun f s -> Pag.Estore { base = v; fld = f; src = s });
+    row Pag.View.entry_in (fun i a -> Pag.Eentry { site = i; actual = a; formal = v });
+    row Pag.View.exit_in (fun i r -> Pag.Eexit { site = i; retval = r; dst = v })
   done;
   Array.of_list (List.rev !acc)
 
@@ -65,10 +58,11 @@ let pools pag =
   done;
   let fields = Hashtbl.create 16 and sites = Hashtbl.create 16 in
   for v = 0 to Pag.node_count pag - 1 do
-    List.iter (fun (f, _) -> Hashtbl.replace fields f ()) (Pag.load_in pag v);
-    List.iter (fun (f, _) -> Hashtbl.replace fields f ()) (Pag.store_in pag v);
-    List.iter (fun (i, _) -> Hashtbl.replace sites i ()) (Pag.entry_in pag v);
-    List.iter (fun (i, _) -> Hashtbl.replace sites i ()) (Pag.exit_in pag v)
+    let note h side = Pag.View.fold pag side v (fun a _ () -> Hashtbl.replace h a ()) () in
+    note fields Pag.View.load_in;
+    note fields Pag.View.store_in;
+    note sites Pag.View.entry_in;
+    note sites Pag.View.exit_in
   done;
   let sorted_keys h = Hashtbl.fold (fun k () acc -> k :: acc) h [] |> List.sort compare in
   {

@@ -64,3 +64,14 @@ let build cfg =
     let pl = Pts_clients.Pipeline.of_source (G.generate cfg) in
     Hashtbl.add build_cache cfg pl;
     pl
+
+(* A node's edges on one side through the PAG's one reader, in row
+   order, as [(aux, other)]; [row_nodes] drops the aux. *)
+let row pag side n = List.rev (Pag.View.fold pag side n (fun a x acc -> (a, x) :: acc) [])
+
+let row_nodes pag side n = List.map snd (row pag side n)
+
+let all_sides =
+  Pag.View.
+    [ new_in; new_out; assign_in; assign_out; global_in; global_out; load_in; load_out;
+      store_in; store_out; entry_in; entry_out; exit_in; exit_out ]

@@ -21,8 +21,7 @@ let all_engines ?conf (pl : Pts_clients.Pipeline.t) =
 
 (* ------------------------------ Fstack ------------------------------ *)
 
-let conf_abort = Engine.conf ~max_field_depth:4 ~overflow:Engine.Abort ()
-let conf_widen = Engine.conf ~max_field_depth:4 ~overflow:Engine.Widen ()
+let conf_widen = Engine.conf ~max_field_depth:4 ()
 
 let test_fstack_symbols () =
   check Alcotest.bool "load/store symbols differ" true (Fstack.load_sym 3 <> Fstack.store_sym 3);
@@ -33,7 +32,7 @@ let test_fstack_symbols () =
 
 let test_fstack_push_pop () =
   let f =
-    match Fstack.push conf_abort Hstack.empty (Fstack.load_sym 1) with
+    match Fstack.push conf_widen Hstack.empty (Fstack.load_sym 1) with
     | Some f -> f
     | None -> Alcotest.fail "push cut unexpectedly"
   in
@@ -44,21 +43,12 @@ let test_fstack_push_pop () =
   check Alcotest.bool "mismatched polarity" true (Fstack.pop_match f (Fstack.store_sym 1) = None)
 
 let test_fstack_repeat_cut () =
-  let push f g = Fstack.push conf_abort f (Fstack.load_sym g) in
+  let push f g = Fstack.push conf_widen f (Fstack.load_sym g) in
   let f1 = Option.get (push Hstack.empty 5) in
   let f2 = Option.get (push f1 5) in
   (* default max_field_repeat = 2: a third occurrence is cut *)
   check Alcotest.bool "third repeat cut" true (push f2 5 = None);
   check Alcotest.bool "other fields fine" true (push f2 6 <> None)
-
-let test_fstack_depth_abort () =
-  let rec fill f g n =
-    if n = 0 then f else fill (Option.get (Fstack.push conf_abort f (Fstack.load_sym g))) (g + 1) (n - 1)
-  in
-  let f = fill Hstack.empty 0 4 in
-  match Fstack.push conf_abort f (Fstack.load_sym 99) with
-  | exception Budget.Out_of_budget -> ()
-  | _ -> Alcotest.fail "depth overflow should abort"
 
 let test_fstack_widen () =
   let rec fill f g n =
@@ -132,10 +122,10 @@ let test_fieldbased_overapproximates_exact () =
              so check the weaker inclusion on nodes whose ONLY in-edges are
              arr loads *)
           if
-            Pag.assign_in pag dst = [] && Pag.new_in pag dst = []
-            && Pag.global_in pag dst = [] && Pag.entry_in pag dst = []
-            && Pag.exit_in pag dst = []
-            && List.for_all (fun (f, _) -> f = arr) (Pag.load_in pag dst)
+            List.for_all
+              (fun side -> Support.row pag side dst = [])
+              Pag.View.[ assign_in; new_in; global_in; entry_in; exit_in ]
+            && List.for_all (fun (f, _) -> f = arr) (Support.row pag Pag.View.load_in dst)
           then
             List.iter
               (fun s -> check Alcotest.bool "fb covers exact" true (List.mem s fb_sites))
@@ -567,8 +557,8 @@ let test_engine_conf_variants () =
       Engine.conf ();
       Engine.conf ~max_field_repeat:1 ();
       Engine.conf ~max_field_repeat:4 ();
-      Engine.conf ~max_field_depth:4 ~overflow:Engine.Widen ();
-      Engine.conf ~max_field_depth:16 ~overflow:Engine.Abort ();
+      Engine.conf ~max_field_depth:4 ();
+      Engine.conf ~max_field_depth:16 ();
       Engine.conf ~budget_limit:1_000_000 ();
     ]
 
@@ -635,7 +625,6 @@ let () =
           Alcotest.test_case "symbols" `Quick test_fstack_symbols;
           Alcotest.test_case "push/pop" `Quick test_fstack_push_pop;
           Alcotest.test_case "repeat cut" `Quick test_fstack_repeat_cut;
-          Alcotest.test_case "depth abort" `Quick test_fstack_depth_abort;
           Alcotest.test_case "widening" `Quick test_fstack_widen;
         ] );
       ( "fieldbased",

@@ -1,10 +1,10 @@
 (* Incremental PAG edits: the epoch/delta/view contract and its
    consumers. Covers:
 
-   - delete-then-readd is a perfect roundtrip (graph hash, accessor
-     lists, edge counts, node flags all restored);
-   - View rows (live base edges plus overlay) agree with the
-     overlay-aware list accessors after random edit bursts;
+   - delete-then-readd is a perfect roundtrip (graph hash, rows, edge
+     counts, node flags all restored);
+   - [View.fold] visits exactly the live base edges, then the overlay
+     edges, after random edit bursts;
    - after every burst, live engines invalidated through Incr answer
      exactly like fresh engines on a from-scratch rebuild that replayed
      the same scripts — while retaining most of their summary caches;
@@ -34,7 +34,7 @@ let find_assign pag =
   let rec go v =
     if v >= Pag.node_count pag then Alcotest.fail "no assign edge in benchmark"
     else
-      match Pag.assign_in pag v with
+      match Support.row_nodes pag Pag.View.assign_in v with
       | src :: _ -> (src, v)
       | [] -> go (v + 1)
   in
@@ -48,21 +48,21 @@ let test_delete_readd () =
   let h0 = Pag.graph_hash pag in
   let e0 = Pag.epoch pag in
   let c0 = (Pag.edge_counts pag).Pag.n_assign in
-  let in0 = List.sort compare (Pag.assign_in pag dst) in
-  let out0 = List.sort compare (Pag.assign_out pag src) in
+  let in0 = List.sort compare (Support.row_nodes pag Pag.View.assign_in dst) in
+  let out0 = List.sort compare (Support.row_nodes pag Pag.View.assign_out src) in
   let commit = Pag.apply_edits pag [ Pag.Edel e ] in
   check Alcotest.int "one deletion" 1 commit.Pag.c_deleted;
   check Alcotest.bool "dirty set holds both endpoints" true
     (List.mem src commit.Pag.c_dirty && List.mem dst commit.Pag.c_dirty);
   check Alcotest.bool "hash moved" true (Pag.graph_hash pag <> h0);
-  check Alcotest.bool "edge gone from view" false (List.mem src (Pag.assign_in pag dst));
+  check Alcotest.bool "edge gone from view" false (List.mem src (Support.row_nodes pag Pag.View.assign_in dst));
   check Alcotest.int "assign count down" (c0 - 1) (Pag.edge_counts pag).Pag.n_assign;
   ignore (Pag.apply_edits pag [ Pag.Eadd e ]);
   check Alcotest.int "hash restored (xor is self-inverse)" h0 (Pag.graph_hash pag);
   check (Alcotest.list Alcotest.int) "in-list restored" in0
-    (List.sort compare (Pag.assign_in pag dst));
+    (List.sort compare (Support.row_nodes pag Pag.View.assign_in dst));
   check (Alcotest.list Alcotest.int) "out-list restored" out0
-    (List.sort compare (Pag.assign_out pag src));
+    (List.sort compare (Support.row_nodes pag Pag.View.assign_out src));
   check Alcotest.int "assign count restored" c0 (Pag.edge_counts pag).Pag.n_assign;
   check Alcotest.int "epoch bumped per batch" (e0 + 2) (Pag.epoch pag);
   (* a no-op batch (deleting a missing edge, re-adding a present one)
@@ -72,10 +72,10 @@ let test_delete_readd () =
   check Alcotest.int "no-op batch deletes nothing" 0 commit.Pag.c_deleted;
   check Alcotest.int "hash still restored" h0 (Pag.graph_hash pag)
 
-(* ----------------- view vs list accessors after edits ---------------- *)
+(* ------------------- the reader after edits -------------------------- *)
 
 (* A row as the kernel walks it: live base edges, then overlay edges. *)
-let row pag side v =
+let composed pag side v =
   let s = Pag.View.slab pag side in
   let labelled = Array.length s.Pag.aux > 0 in
   let base = ref [] in
@@ -84,7 +84,7 @@ let row pag side v =
     if not (Pag.View.tombstoned pag side && Pag.View.is_deleted pag side v a x) then
       base := (a, x) :: !base
   done;
-  List.sort compare (!base @ Pag.View.added pag side v)
+  List.rev !base @ Pag.View.added pag side v
 
 let test_view_consistency () =
   let pl = private_pipeline "jack" in
@@ -95,19 +95,13 @@ let test_view_consistency () =
   done;
   check Alcotest.bool "overlay present" true (Pag.View.overlaid pag);
   let pair = Alcotest.pair Alcotest.int Alcotest.int in
-  let nodes l = List.sort compare (List.map (fun x -> (0, x)) l) in
   for v = 0 to Pag.node_count pag - 1 do
     let ctx = Printf.sprintf "node %d" v in
-    let same side expected = check (Alcotest.list pair) ctx expected (row pag side v) in
-    same Pag.View.new_in (nodes (Pag.new_in pag v));
-    same Pag.View.assign_in (nodes (Pag.assign_in pag v));
-    same Pag.View.assign_out (nodes (Pag.assign_out pag v));
-    same Pag.View.global_out (nodes (Pag.global_out pag v));
-    same Pag.View.load_in (List.sort compare (Pag.load_in pag v));
-    same Pag.View.store_out (List.sort compare (Pag.store_out pag v));
-    same Pag.View.entry_in (List.sort compare (Pag.entry_in pag v));
-    same Pag.View.exit_out (List.sort compare (Pag.exit_out pag v));
-    check Alcotest.bool ctx (Pag.new_in pag v <> []) (Pag.View.has_new_in pag v)
+    List.iter
+      (fun side -> check (Alcotest.list pair) ctx (composed pag side v) (Support.row pag side v))
+      Pag.View.
+        [ new_in; assign_in; assign_out; global_out; load_in; store_out; entry_in; exit_out ];
+    check Alcotest.bool ctx (Support.row pag Pag.View.new_in v <> []) (Pag.View.has_new_in pag v)
   done
 
 (* ------------- incremental vs rebuild, retention > 0 ------------------ *)
@@ -190,7 +184,7 @@ let test_stale_cache_rejected () =
           else if
             (not (Pag.is_obj pag v))
             && v <> dst
-            && (not (List.mem src (Pag.assign_in pag v)))
+            && (not (List.mem src (Support.row_nodes pag Pag.View.assign_in v)))
             && v <> src
           then v
           else go (v + 1)
@@ -210,35 +204,22 @@ let test_stale_cache_rejected () =
 
 let incident_deletions pag v =
   let es = ref [] in
-  List.iter (fun o -> es := Pag.Edel (Pag.Enew { obj_ = o; dst = v }) :: !es) (Pag.new_in pag v);
-  List.iter (fun s -> es := Pag.Edel (Pag.Eassign { src = s; dst = v }) :: !es) (Pag.assign_in pag v);
-  List.iter (fun d -> es := Pag.Edel (Pag.Eassign { src = v; dst = d }) :: !es) (Pag.assign_out pag v);
-  List.iter (fun s -> es := Pag.Edel (Pag.Eglobal { src = s; dst = v }) :: !es) (Pag.global_in pag v);
-  List.iter (fun d -> es := Pag.Edel (Pag.Eglobal { src = v; dst = d }) :: !es) (Pag.global_out pag v);
-  List.iter
-    (fun (f, b) -> es := Pag.Edel (Pag.Eload { base = b; fld = f; dst = v }) :: !es)
-    (Pag.load_in pag v);
-  List.iter
-    (fun (f, d) -> es := Pag.Edel (Pag.Eload { base = v; fld = f; dst = d }) :: !es)
-    (Pag.load_out pag v);
-  List.iter
-    (fun (f, s) -> es := Pag.Edel (Pag.Estore { base = v; fld = f; src = s }) :: !es)
-    (Pag.store_in pag v);
-  List.iter
-    (fun (f, b) -> es := Pag.Edel (Pag.Estore { base = b; fld = f; src = v }) :: !es)
-    (Pag.store_out pag v);
-  List.iter
-    (fun (i, a) -> es := Pag.Edel (Pag.Eentry { site = i; actual = a; formal = v }) :: !es)
-    (Pag.entry_in pag v);
-  List.iter
-    (fun (i, p) -> es := Pag.Edel (Pag.Eentry { site = i; actual = v; formal = p }) :: !es)
-    (Pag.entry_out pag v);
-  List.iter
-    (fun (i, r) -> es := Pag.Edel (Pag.Eexit { site = i; retval = r; dst = v }) :: !es)
-    (Pag.exit_in pag v);
-  List.iter
-    (fun (i, d) -> es := Pag.Edel (Pag.Eexit { site = i; retval = v; dst = d }) :: !es)
-    (Pag.exit_out pag v);
+  let row side edit =
+    List.iter (fun (a, x) -> es := Pag.Edel (edit a x) :: !es) (Support.row pag side v)
+  in
+  row Pag.View.new_in (fun _ o -> Pag.Enew { obj_ = o; dst = v });
+  row Pag.View.assign_in (fun _ s -> Pag.Eassign { src = s; dst = v });
+  row Pag.View.assign_out (fun _ d -> Pag.Eassign { src = v; dst = d });
+  row Pag.View.global_in (fun _ s -> Pag.Eglobal { src = s; dst = v });
+  row Pag.View.global_out (fun _ d -> Pag.Eglobal { src = v; dst = d });
+  row Pag.View.load_in (fun f b -> Pag.Eload { base = b; fld = f; dst = v });
+  row Pag.View.load_out (fun f d -> Pag.Eload { base = v; fld = f; dst = d });
+  row Pag.View.store_in (fun f s -> Pag.Estore { base = v; fld = f; src = s });
+  row Pag.View.store_out (fun f b -> Pag.Estore { base = b; fld = f; src = v });
+  row Pag.View.entry_in (fun i a -> Pag.Eentry { site = i; actual = a; formal = v });
+  row Pag.View.entry_out (fun i p -> Pag.Eentry { site = i; actual = v; formal = p });
+  row Pag.View.exit_in (fun i r -> Pag.Eexit { site = i; retval = r; dst = v });
+  row Pag.View.exit_out (fun i d -> Pag.Eexit { site = i; retval = v; dst = d });
   !es
 
 let test_witness_after_delete () =

@@ -2,6 +2,8 @@
 
 let check = Alcotest.check
 
+let row = Support.row
+
 let pipeline src = Pts_clients.Pipeline.of_source src
 
 let fig2 = lazy (pipeline Pts_workload.Figure2.source)
@@ -18,7 +20,8 @@ let test_edge_counts_consistent () =
   let reachable_allocs = ref 0 in
   let prog = pl.Pts_clients.Pipeline.prog in
   Array.iteri
-    (fun site _ -> if Pag.new_out pag (Pag.obj_node pag site) <> [] then incr reachable_allocs)
+    (fun site _ ->
+      if row pag Pag.View.new_out (Pag.obj_node pag site) <> [] then incr reachable_allocs)
     prog.Ir.allocs;
   check Alcotest.int "one new edge per reachable alloc" !reachable_allocs c.Pag.n_new
 
@@ -27,32 +30,23 @@ let test_unique_new_destination () =
   let pag = pl.Pts_clients.Pipeline.pag in
   for n = 0 to Pag.node_count pag - 1 do
     if Pag.is_obj pag n then
-      check Alcotest.bool "at most one new destination" true (List.length (Pag.new_out pag n) <= 1)
+      check Alcotest.bool "at most one new destination" true (List.length (row pag Pag.View.new_out n) <= 1)
   done
 
 let test_adjacency_symmetry () =
   let pl = Lazy.force fig2 in
   let pag = pl.Pts_clients.Pipeline.pag in
   for v = 0 to Pag.node_count pag - 1 do
-    List.iter
-      (fun x -> check Alcotest.bool "assign symmetric" true (List.mem v (Pag.assign_out pag x)))
-      (Pag.assign_in pag v);
-    List.iter
-      (fun (f, b) ->
-        check Alcotest.bool "load symmetric" true (List.mem (f, v) (Pag.load_out pag b)))
-      (Pag.load_in pag v);
-    List.iter
-      (fun (f, s) ->
-        check Alcotest.bool "store symmetric" true (List.mem (f, v) (Pag.store_out pag s)))
-      (Pag.store_in pag v);
-    List.iter
-      (fun (i, a) ->
-        check Alcotest.bool "entry symmetric" true (List.mem (i, v) (Pag.entry_out pag a)))
-      (Pag.entry_in pag v);
-    List.iter
-      (fun (i, r) ->
-        check Alcotest.bool "exit symmetric" true (List.mem (i, v) (Pag.exit_out pag r)))
-      (Pag.exit_in pag v)
+    let symmetric name in_side out_side =
+      List.iter
+        (fun (a, x) -> check Alcotest.bool name true (List.mem (a, v) (row pag out_side x)))
+        (row pag in_side v)
+    in
+    symmetric "assign symmetric" Pag.View.assign_in Pag.View.assign_out;
+    symmetric "load symmetric" Pag.View.load_in Pag.View.load_out;
+    symmetric "store symmetric" Pag.View.store_in Pag.View.store_out;
+    symmetric "entry symmetric" Pag.View.entry_in Pag.View.entry_out;
+    symmetric "exit symmetric" Pag.View.exit_in Pag.View.exit_out
   done
 
 let test_field_indices () =
@@ -66,26 +60,25 @@ let test_field_indices () =
   check Alcotest.bool "arr stores exist" true (stores <> []);
   List.iter
     (fun (base, dst) ->
-      check Alcotest.bool "load index consistent" true (List.mem (arr, dst) (Pag.load_out pag base)))
+      check Alcotest.bool "load index consistent" true (List.mem (arr, dst) (row pag Pag.View.load_out base)))
     loads;
   List.iter
     (fun (base, src) ->
-      check Alcotest.bool "store index consistent" true (List.mem (arr, src) (Pag.store_in pag base)))
+      check Alcotest.bool "store index consistent" true (List.mem (arr, src) (row pag Pag.View.store_in base)))
     stores
 
 let test_classification_flags () =
   let pl = Lazy.force fig2 in
   let pag = pl.Pts_clients.Pipeline.pag in
   for v = 0 to Pag.node_count pag - 1 do
+    let any sides = List.exists (fun side -> row pag side v <> []) sides in
     let expect_local =
-      Pag.new_in pag v <> [] || Pag.new_out pag v <> [] || Pag.assign_in pag v <> []
-      || Pag.assign_out pag v <> [] || Pag.load_in pag v <> [] || Pag.load_out pag v <> []
-      || Pag.store_in pag v <> [] || Pag.store_out pag v <> []
+      any
+        Pag.View.
+          [ new_in; new_out; assign_in; assign_out; load_in; load_out; store_in; store_out ]
     in
     check Alcotest.bool "local flag" expect_local (Pag.has_local_edges pag v);
-    let expect_gin =
-      Pag.global_in pag v <> [] || Pag.entry_in pag v <> [] || Pag.exit_in pag v <> []
-    in
+    let expect_gin = any Pag.View.[ global_in; entry_in; exit_in ] in
     check Alcotest.bool "global-in flag" expect_gin (Pag.has_global_in pag v)
   done
 
@@ -112,30 +105,65 @@ let test_frozen_rejects_mutation () =
   | () -> Alcotest.fail "frozen PAG accepted an edge"
 
 (* The packed CSR slabs must carry exactly the edges the counters report,
-   and the reconstructed list views must agree with them node by node. *)
+   and the reader must visit exactly each node's slab row. *)
 let test_packed_csr_consistency () =
   let pl = Lazy.force fig2 in
   let pag = pl.Pts_clients.Pipeline.pag in
-  let p = Pag.packed pag in
   let c = Pag.edge_counts pag in
-  let len (s : Pag.slab) = Array.length s.Pag.dst in
-  check Alcotest.int "new slab" c.Pag.n_new (len p.Pag.p_new_in);
-  check Alcotest.int "new slabs symmetric" (len p.Pag.p_new_in) (len p.Pag.p_new_out);
-  check Alcotest.int "assign slab" c.Pag.n_assign (len p.Pag.p_assign_in);
-  check Alcotest.int "global slab" c.Pag.n_assign_global (len p.Pag.p_global_out);
-  check Alcotest.int "load slab" c.Pag.n_load (len p.Pag.p_load_in);
-  check Alcotest.int "store slab" c.Pag.n_store (len p.Pag.p_store_out);
-  check Alcotest.int "entry slab" c.Pag.n_entry (len p.Pag.p_entry_in);
-  check Alcotest.int "exit slab" c.Pag.n_exit (len p.Pag.p_exit_out);
+  let len side = Array.length (Pag.View.slab pag side).Pag.dst in
+  check Alcotest.int "new slab" c.Pag.n_new (len Pag.View.new_in);
+  check Alcotest.int "new slabs symmetric" (len Pag.View.new_in) (len Pag.View.new_out);
+  check Alcotest.int "assign slab" c.Pag.n_assign (len Pag.View.assign_in);
+  check Alcotest.int "global slab" c.Pag.n_assign_global (len Pag.View.global_out);
+  check Alcotest.int "load slab" c.Pag.n_load (len Pag.View.load_in);
+  check Alcotest.int "store slab" c.Pag.n_store (len Pag.View.store_out);
+  check Alcotest.int "entry slab" c.Pag.n_entry (len Pag.View.entry_in);
+  check Alcotest.int "exit slab" c.Pag.n_exit (len Pag.View.exit_out);
+  let pair = Alcotest.pair Alcotest.int Alcotest.int in
   for n = 0 to Pag.node_count pag - 1 do
-    check Alcotest.int "new_in degree" (List.length (Pag.new_in pag n)) (Pag.degree p.Pag.p_new_in n);
-    check Alcotest.int "load_out degree"
-      (List.length (Pag.load_out pag n))
-      (Pag.degree p.Pag.p_load_out n);
-    check Alcotest.int "entry_out degree"
-      (List.length (Pag.entry_out pag n))
-      (Pag.degree p.Pag.p_entry_out n)
+    List.iter
+      (fun side ->
+        let s = Pag.View.slab pag side in
+        let slab_row =
+          List.init
+            (s.Pag.off.(n + 1) - s.Pag.off.(n))
+            (fun i ->
+              let k = s.Pag.off.(n) + i in
+              ((if Array.length s.Pag.aux > 0 then s.Pag.aux.(k) else 0), s.Pag.dst.(k)))
+        in
+        check (Alcotest.list pair) "fold visits the slab row" slab_row (row pag side n))
+      Support.all_sides
   done
+
+(* The reader visits every row in the same order before and after
+   [freeze]: the Andersen solver reads rows before it and the engines
+   after, and DYNSUM's step counts follow row order. Random edges of every
+   label over a hand-built graph give rows several edges long. *)
+let test_fold_order_across_freeze () =
+  let prog = (Lazy.force fig2).Pts_clients.Pipeline.prog in
+  let pag = Pag.create prog in
+  let n = Pag.node_count pag in
+  let rng = Pts_util.Prng.create 7 in
+  let node () = Pts_util.Prng.int rng n and small () = Pts_util.Prng.int rng 3 in
+  (* object nodes come last; each flows to one variable *)
+  let objs = List.filter (Pag.is_obj pag) (List.init n Fun.id) in
+  let first_obj = List.hd objs in
+  List.iter (fun o -> Pag.add_new pag ~obj_:o ~dst:(Pts_util.Prng.int rng first_obj)) objs;
+  for _ = 1 to 4 * n do
+    Pag.add_assign pag ~src:(node ()) ~dst:(node ());
+    Pag.add_assign_global pag ~src:(node ()) ~dst:(node ());
+    Pag.add_load pag ~base:(node ()) ~fld:(small ()) ~dst:(node ());
+    Pag.add_store pag ~base:(node ()) ~fld:(small ()) ~src:(node ());
+    Pag.add_entry pag ~site:(small ()) ~actual:(node ()) ~formal:(node ());
+    Pag.add_exit pag ~site:(small ()) ~retval:(node ()) ~dst:(node ())
+  done;
+  let rows () = List.init n (fun v -> List.map (fun side -> row pag side v) Support.all_sides) in
+  let before = rows () in
+  Pag.freeze pag;
+  let pair = Alcotest.pair Alcotest.int Alcotest.int in
+  check Alcotest.bool "some row holds several edges" true
+    (List.exists (List.exists (fun r -> List.length r > 2)) before);
+  check (Alcotest.list (Alcotest.list (Alcotest.list pair))) "same rows, same order" before (rows ())
 
 (* --------------------------- Call graph ----------------------------- *)
 
@@ -282,6 +310,7 @@ let () =
           Alcotest.test_case "locality" `Quick test_locality_metric;
           Alcotest.test_case "frozen" `Quick test_frozen_rejects_mutation;
           Alcotest.test_case "packed CSR" `Quick test_packed_csr_consistency;
+          Alcotest.test_case "fold order across freeze" `Quick test_fold_order_across_freeze;
           Alcotest.test_case "set_oracle contract" `Quick test_set_oracle_contract;
         ] );
       ( "callgraph",

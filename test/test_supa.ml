@@ -215,7 +215,7 @@ let test_supa_field_overlay_downgrade () =
     | _ -> Alcotest.fail "s should have one site"
   in
   let b_node = Pipeline.find_local_any pl ~var:"b" in
-  let fld = match Pag.store_in pag b_node with
+  let fld = match Support.row pag Pag.View.store_in b_node with
     | (fld, _) :: _ -> fld
     | [] -> Alcotest.fail "b should be a store base"
   in
