@@ -3,7 +3,7 @@
 
 DUNE ?= dune
 
-.PHONY: all build test smoke smoke-parallel smoke-parallel-jobs smoke-check smoke-minifun smoke-supa smoke-incr smoke-serve check bench bench-smoke bench-taint-smoke bench-taint bench-minifun bench-incr bench-serve bench-e2e bench-compare bench-ab verify clean
+.PHONY: all build test smoke smoke-cache smoke-parallel smoke-parallel-jobs smoke-check smoke-minifun smoke-supa smoke-incr smoke-serve check bench bench-smoke bench-taint-smoke bench-taint bench-minifun bench-incr bench-serve bench-e2e bench-compare bench-ab verify clean
 
 all: build
 
@@ -15,17 +15,34 @@ test:
 
 # A real end-to-end run: generated benchmark -> pipeline -> DYNSUM ->
 # metrics JSON on stdout. The python step fails the target if the blob
-# is not valid JSON, lacks the per-engine counters, or counts other
+# is not valid JSON, lacks the summary counters, or counts other
 # queries or steps than the first line reports (each query runs once).
 smoke:
 	$(DUNE) exec bin/ptsto.exe -- client --bench jack -c safecast -e dynsum --metrics-json \
 	  | python3 -c 'import json,re,sys; out=sys.stdin.read().splitlines(); \
-	    m=json.loads(out[-1]); e=m["engines"][0]; \
-	    assert m["schema"].startswith("ptsto.metrics/"), m; \
-	    assert {"engine","steps","queries","summary_hits","summary_misses"} <= set(e), e; \
-	    n, steps = map(int, re.search(r": (\d+) queries in .* \((\d+) steps\)", out[0]).groups()); \
-	    assert (e["queries"], e["steps"]) == (n, steps), (e["queries"], e["steps"], out[0]); \
-	    print("smoke ok:", e["engine"], e["queries"], "queries,", e["steps"], "steps")'
+	    m=json.loads(out[-1]); \
+	    assert m["schema"].startswith("ptsto.parallel-metrics/"), m; \
+	    assert {"engine","steps","queries"} <= set(m), m; \
+	    assert {"summary_hits","summary_misses"} <= set(m["counters"]), m; \
+	    n, steps = map(int, re.search(r": (\d+) queries in .* \((\d+) steps,", out[0]).groups()); \
+	    assert (m["queries"], m["steps"]) == (n, steps), (m["queries"], m["steps"], out[0]); \
+	    print("smoke ok:", m["engine"], m["queries"], "queries,", m["steps"], "steps")'
+
+# --cache end to end on two domains: the first run saves the summary
+# tier, the second loads every summary back ("loaded N" equals the first
+# run's "saved N") and saves it again, byte-identical to a one-domain
+# run's file.
+smoke-cache:
+	rm -f /tmp/ptsto_cache_j1.bin /tmp/ptsto_cache_j2.bin
+	$(DUNE) exec bin/ptsto.exe -- client --bench jack -c safecast --cache /tmp/ptsto_cache_j1.bin --jobs 1 > /dev/null
+	$(DUNE) exec bin/ptsto.exe -- client --bench jack -c safecast --cache /tmp/ptsto_cache_j2.bin --jobs 2 > /tmp/ptsto_cache_run1.txt
+	$(DUNE) exec bin/ptsto.exe -- client --bench jack -c safecast --cache /tmp/ptsto_cache_j2.bin --jobs 2 > /tmp/ptsto_cache_run2.txt
+	cmp /tmp/ptsto_cache_j1.bin /tmp/ptsto_cache_j2.bin
+	python3 -c 'import re; \
+	  n=lambda f, w: int(re.search(r"^%s (\d+) summaries" % w, open(f).read(), re.M).group(1)); \
+	  saved=n("/tmp/ptsto_cache_run1.txt", "saved"); loaded=n("/tmp/ptsto_cache_run2.txt", "loaded"); \
+	  assert saved > 0 and loaded == saved, (saved, loaded); \
+	  print("cache smoke ok:", saved, "summaries saved at jobs 2 and loaded back, file == jobs 1 bytes")'
 
 # The same client through the parallel batch scheduler: two worker
 # domains over the shared frozen PAG, validated via the parallel metrics
@@ -142,7 +159,7 @@ smoke-serve:
 	  assert resp[5]["base"]["size"] > 0, resp[5]; \
 	  print("serve smoke ok: verdicts+report match one-shot CLI, epoch", resp[4]["epoch"], "after edit")'
 
-check: build test smoke smoke-parallel smoke-parallel-jobs smoke-check smoke-minifun smoke-supa smoke-incr smoke-serve
+check: build test smoke smoke-cache smoke-parallel smoke-parallel-jobs smoke-check smoke-minifun smoke-supa smoke-incr smoke-serve
 
 bench:
 	$(DUNE) exec bench/main.exe

@@ -134,8 +134,8 @@ let table1 () =
   let pl = Pts_workload.Figure2.pipeline () in
   let pag = pl.Pipeline.pag in
   let prog = pl.Pipeline.prog in
-  let conf = Engine.default_conf in
-  let budget = Budget.create ~limit:conf.Engine.budget_limit in
+  let conf = Conf.default in
+  let budget = Budget.create ~limit:conf.Conf.budget_limit in
   let cache = Hashtbl.create 64 in
   let pp_stack f =
     let syms = Hstack.to_list f in
@@ -1593,7 +1593,7 @@ let micro () =
           ignore (Hstack.pop_exn s)));
       Test.make ~name:"ppta (Vector.get ret)" (Staged.stage (fun () ->
           let budget = Budget.unlimited () in
-          ignore (Ppta.compute pag Engine.default_conf budget q0 Hstack.empty Ppta.S1)));
+          ignore (Ppta.compute pag Conf.default budget q0 Hstack.empty Ppta.S1)));
       Test.make ~name:"dynsum query (warm cache)" (Staged.stage (fun () ->
           ignore (Dynsum.points_to warm_dynsum q0)));
       Test.make ~name:"dynsum query (cold cache)" (Staged.stage (fun () ->

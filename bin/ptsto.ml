@@ -17,13 +17,7 @@ module Table = Pts_util.Table
 module Pipeline = Pts_clients.Pipeline
 module Client = Pts_clients.Client
 
-let clients =
-  [
-    ("safecast", ("SafeCast", Pts_clients.Safecast.queries));
-    ("nullderef", ("NullDeref", Pts_clients.Nullderef.queries));
-    ("factorym", ("FactoryM", Pts_clients.Factorym.queries));
-    ("devirt", ("Devirt", Pts_clients.Devirt.queries));
-  ]
+let clients = Pts_clients.Queryset.all
 
 (* ----------------------------- arguments ---------------------------- *)
 
@@ -68,7 +62,7 @@ let engine_arg =
 
 let budget_arg =
   Arg.(
-    value & opt int Engine.default_conf.Engine.budget_limit
+    value & opt int Conf.default.Conf.budget_limit
     & info [ "budget" ] ~docv:"N" ~doc:"Per-query traversal budget.")
 
 let trace_arg =
@@ -223,16 +217,29 @@ let query_cmd lang file bench meth var engine_name budget trace metrics =
                 (Query.sites ts));
             if metrics then print_metrics [ (None, engine) ]))
 
-(* --jobs/--rounds: the Parsolve batch path. Distinct from the sequential
-   path below because the trace plumbing differs (a shared mutex-guarded
-   writer instead of one sink) and per-domain reports replace the single
-   engine's counters. *)
-let client_par_cmd lang file bench client_key engine_name budget cache_file trace metrics vjson jobs
+(* One driver at every --jobs/--rounds: at jobs 1, Parsolve answers the
+   batch in arrival order on one engine, exactly as a sequential loop
+   would. With --cache, a dynsum tier loaded from the file is read
+   through and grown by every round, then saved back. *)
+let client_cmd lang file bench client_key engine_name budget cache_file trace metrics vjson jobs
     rounds =
   with_pipeline ?lang file bench (fun pl ->
+      let pag = pl.Pipeline.pag in
       let cname, queries_of = List.assoc client_key clients in
-      if cache_file <> None then
-        Printf.eprintf "warning: --cache is ignored in parallel batch mode\n";
+      let cache =
+        match cache_file with
+        | Some path when engine_name = "dynsum" ->
+          let b = Dynsum.base_create () in
+          (if Sys.file_exists path then
+             match Dynsum.load_base b pag path with
+             | Ok n -> Printf.printf "loaded %d summaries from %s\n" n path
+             | Error e -> Printf.printf "ignoring cache %s: %s\n" path e);
+          Some (b, path)
+        | Some _ ->
+          Printf.eprintf "warning: --cache only applies to the dynsum engine\n";
+          None
+        | None -> None
+      in
       let conf = Engine.conf ~budget_limit:budget () in
       let writer = Option.map Trace.writer_to_file trace in
       let queries = queries_of pl in
@@ -241,17 +248,19 @@ let client_par_cmd lang file bench client_key engine_name budget cache_file trac
           (List.map (fun q -> Parsolve.query ~satisfy:q.Client.q_pred q.Client.q_node) queries)
       in
       let r =
-        Parsolve.run ~conf ?trace_writer:writer ~jobs ~rounds ~engine:engine_name
-          pl.Pipeline.pag qarr
+        Parsolve.run ~conf ?trace_writer:writer ~jobs ~rounds ?base:(Option.map fst cache)
+          ~engine:engine_name pag qarr
       in
       Option.iter Trace.writer_close writer;
+      let steps = Array.fold_left ( + ) 0 r.Parsolve.actual_steps in
       let verdicts =
         List.mapi (fun i q -> (q, Client.verdict_of q.Client.q_pred r.Parsolve.outcomes.(i))) queries
       in
       let tally = Client.tally_of verdicts in
       Printf.printf
-        "%s with %s: %d queries in %.3fs (%d jobs, %d rounds, %d steals, %d unique summaries)\n"
-        cname engine_name (Array.length qarr) r.Parsolve.wall_seconds r.Parsolve.jobs
+        "%s with %s: %d queries in %.3fs (%d steps, %d jobs, %d rounds, %d steals, %d unique \
+         summaries)\n"
+        cname engine_name (Array.length qarr) r.Parsolve.wall_seconds steps r.Parsolve.jobs
         r.Parsolve.rounds r.Parsolve.steals r.Parsolve.unique_summaries;
       Format.printf "  %a@." Client.pp_tally tally;
       List.iter
@@ -269,18 +278,24 @@ let client_par_cmd lang file bench client_key engine_name budget cache_file trac
         verdicts;
       if vjson then
         print_endline (Trace.Json.to_string (Client.verdicts_json ~client:cname verdicts));
+      (match cache with
+      | Some (b, path) ->
+        Dynsum.save_base b pag path;
+        Printf.printf "saved %d summaries to %s\n" (Dynsum.base_length b) path
+      | None -> ());
       if metrics then
         let open Trace.Json in
         print_endline
           (to_string
              (Obj
                 [
-                  ("schema", String "ptsto.parallel-metrics/3");
+                  ("schema", String "ptsto.parallel-metrics/4");
                   ("engine", String engine_name);
                   ("jobs", Int r.Parsolve.jobs);
                   ("recommended_domains", Int (Domain.recommended_domain_count ()));
                   ("rounds", Int r.Parsolve.rounds);
                   ("queries", Int (Array.length qarr));
+                  ("steps", Int steps);
                   ("wall_seconds", Float r.Parsolve.wall_seconds);
                   ("steals", Int r.Parsolve.steals);
                   ("merged_summaries", Int r.Parsolve.merged_summaries);
@@ -308,59 +323,6 @@ let client_par_cmd lang file bench client_key engine_name budget cache_file trac
                     Obj (List.map (fun (k, v) -> (k, Int v)) (Pts_util.Stats.to_list r.Parsolve.stats))
                   );
                 ])))
-
-let client_cmd lang file bench client_key engine_name budget cache_file trace metrics vjson jobs
-    rounds =
-  if jobs <> 1 || rounds <> 1 then
-    client_par_cmd lang file bench client_key engine_name budget cache_file trace metrics vjson jobs
-      rounds
-  else
-  with_pipeline ?lang file bench (fun pl ->
-      with_trace trace (fun sink ->
-          let cname, queries_of = List.assoc client_key clients in
-          let conf = Engine.conf ~budget_limit:budget () in
-          (* with --cache, a DYNSUM session persists its summaries across runs *)
-          let dynsum_session =
-            match cache_file with
-            | Some path when engine_name = "dynsum" ->
-              let d = Dynsum.create ~conf ~trace:sink pl.Pipeline.pag in
-              (if Sys.file_exists path then
-                 match Dynsum.load_cache d path with
-                 | Ok n -> Printf.printf "loaded %d summaries from %s\n" n path
-                 | Error e -> Printf.printf "ignoring cache %s: %s\n" path e);
-              Some (d, path)
-            | Some _ ->
-              Printf.eprintf "warning: --cache only applies to the dynsum engine\n";
-              None
-            | None -> None
-          in
-          let engine =
-            match dynsum_session with
-            | Some (d, _) -> Engine.dynsum d
-            | None -> Engine.create ~conf ~trace:sink engine_name pl.Pipeline.pag
-          in
-          let queries = queries_of pl in
-          let r = Client.run engine queries in
-          Printf.printf "%s with %s: %d queries in %.3fs (%d steps)\n" cname engine.Engine.name
-            (List.length queries) r.Client.seconds r.Client.steps;
-          Format.printf "  %a@." Client.pp_tally r.Client.tally;
-          (* list refuted/unknown queries for actionability *)
-          let verdicts = r.Client.verdicts in
-          List.iter
-            (fun (q, v) ->
-              match v with
-              | Client.Refuted -> Printf.printf "  REFUTED %s\n" q.Client.q_desc
-              | Client.Unknown -> Printf.printf "  UNKNOWN %s\n" q.Client.q_desc
-              | Client.Proved -> ())
-            verdicts;
-          if vjson then
-            print_endline (Trace.Json.to_string (Client.verdicts_json ~client:cname verdicts));
-          (match dynsum_session with
-          | Some (d, path) ->
-            Dynsum.save_cache d path;
-            Printf.printf "saved %d summaries to %s\n" (Dynsum.summary_count d) path
-          | None -> ());
-          if metrics then print_metrics [ (None, engine) ]))
 
 let compare_cmd lang file bench budget trace metrics =
   with_pipeline ?lang file bench (fun pl ->
@@ -755,13 +717,14 @@ let client_t =
     Arg.(
       value & opt (some string) None
       & info [ "cache" ] ~docv:"FILE"
-          ~doc:"Persist the dynsum summary cache across runs (load before, save after).")
+          ~doc:
+            "Persist the dynsum summary tier across runs (load before, save after), at any \
+             $(b,--jobs) and $(b,--rounds).")
   in
   let jobs =
     jobs_arg
       ~doc:
-        "Answer the query batch on $(docv) worker domains over the shared frozen PAG (parallel \
-         batch mode when > 1)."
+        "Answer the query batch on $(docv) worker domains over the shared frozen PAG."
   in
   let rounds =
     Arg.(

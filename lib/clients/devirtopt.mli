@@ -26,7 +26,7 @@ type result = {
   dv_exceeded : int;
 }
 
-val run : ?conf:Engine.conf -> engine:string -> Pipeline.t -> result
+val run : ?conf:Conf.t -> engine:string -> Pipeline.t -> result
 (** Query every reachable virtual site's receiver with a fresh [engine]
     and rewrite the provably-monomorphic ones. The input pipeline and its
     program are not mutated. *)
@@ -50,7 +50,7 @@ type fixpoint = {
   fp_pag_edges : int list;  (** total PAG edge count per pipeline state *)
 }
 
-val run_fixpoint : ?conf:Engine.conf -> ?max_iters:int -> engine:string -> Pipeline.t -> fixpoint
+val run_fixpoint : ?conf:Conf.t -> ?max_iters:int -> engine:string -> Pipeline.t -> fixpoint
 (** Iterate {!run} on its own output until a pass rewrites nothing or
     [max_iters] (default 5, must be [>= 1]) passes ran. Devirtualizing
     monomorphic sites tightens the call graph, which can strand whole

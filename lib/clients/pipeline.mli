@@ -29,7 +29,7 @@ val find_local_any : t -> var:string -> Pag.node
     @raise Not_found. *)
 
 val engines :
-  ?conf:Engine.conf -> ?trace:Trace.sink -> ?with_stasum:bool -> t -> Engine.engine list
+  ?conf:Conf.t -> ?trace:Trace.sink -> ?with_stasum:bool -> t -> Engine.engine list
 (** Fresh [norefine; refinepts; dynsum] engines (plus [stasum] when
     requested — its eager offline phase is costly), built from
     {!Engine.registry} in that order; [trace] is shared by all of them. *)

@@ -1,8 +1,8 @@
 (** Per-engine analysis configuration.
 
     Lives below every engine module so that {!Fstack}, {!Kernel} and the
-    engines can all consume it; {!Engine} re-exports it (with the record
-    fields) as [Engine.conf] for external callers. *)
+    engines can all consume it; {!Engine.conf} builds one from optional
+    fields. *)
 
 type t = {
   budget_limit : int; (** max PAG edge traversals per query (paper: 75,000) *)
@@ -17,6 +17,3 @@ type t = {
 
 val default : t
 (** [{ budget_limit = 75_000; max_field_repeat = 2; max_field_depth = 64 }]. *)
-
-val make :
-  ?budget_limit:int -> ?max_field_repeat:int -> ?max_field_depth:int -> unit -> t

@@ -168,66 +168,12 @@ let snapshot_tables cache key_stacks footprints : snapshot =
 
 let snapshot t = snapshot_tables t.cache t.key_stacks t.footprints
 
-(* Holds only the three tables a snapshot reads, not the engine around
-   them; forcing drops them. *)
-let deferred_snapshot t =
-  let cache = t.cache and key_stacks = t.key_stacks and footprints = t.footprints in
-  lazy (snapshot_tables cache key_stacks footprints)
+let new_summary_keys t =
+  Cache.fold
+    (fun (node, _fid, state) stack acc -> (node, Hstack.to_list stack, state) :: acc)
+    t.key_stacks []
 
 let state_of_int = function 1 -> Ppta.S1 | _ -> Ppta.S2
-
-(* Decode a structural image in the calling domain (re-interning every
-   stack in this domain's hash-cons store) and merge it into the live
-   cache, first-writer-wins per key. All-or-nothing: decodes into a
-   staging list first so a malformed payload never half-mutates the
-   cache. *)
-let absorb_images t images =
-  match
-    List.map
-      (fun ((node, syms, state, objs, tuples, fp) : entry_image) ->
-        let stack = Hstack.of_list syms in
-        let summary =
-          {
-            Ppta.objs;
-            tuples =
-              List.map (fun (tn, tf, ts) -> (tn, Hstack.of_list tf, state_of_int ts)) tuples;
-          }
-        in
-        ((node, Hstack.id stack, state), stack, summary, fp))
-      images
-  with
-  | exception _ -> Error "corrupt cache payload"
-  | staged ->
-    let n = ref 0 in
-    List.iter
-      (fun (key, stack, summary, fp) ->
-        if not (Cache.mem t.cache key) then begin
-          incr n;
-          Cache.add t.cache key summary;
-          Cache.add t.key_stacks key stack;
-          Cache.add t.footprints key fp
-        end)
-      staged;
-    Ok !n
-
-let absorb t (s : snapshot) =
-  match absorb_images t s with Ok n -> n | Error _ -> 0
-
-let snapshot_length (s : snapshot) = List.length s
-
-let snapshot_union (snaps : snapshot list) : snapshot =
-  (* identical (node, stack, state) keys: last writer wins — summaries
-     for the same key are equal sets anyway (PPTA is deterministic), so
-     the choice only affects representation order. Sorted for a
-     domain-count-independent result. *)
-  let tbl = Hashtbl.create 256 in
-  List.iter
-    (List.iter (fun ((node, syms, state, _, _, _) as img : entry_image) ->
-         Hashtbl.replace tbl (node, syms, state) img))
-    snaps;
-  Hashtbl.fold (fun _ img acc -> img :: acc) tbl [] |> List.sort compare_image
-
-let snapshot_keys (s : snapshot) = List.map (fun (node, syms, state, _, _, _) -> (node, syms, state)) s
 
 (* ---------------------------- base tier ----------------------------- *)
 
@@ -266,10 +212,10 @@ let rec base_evict_one (b : base) =
       end)
 
 let base_add (b : base) (s : snapshot) =
-  (* first writer wins, like [absorb_images]: summaries for the same key
-     are equal sets (PPTA is deterministic), so keeping the incumbent
-     only pins representation. Returns how many keys were new. Must only
-     run while no worker is reading the base (between rounds/requests). *)
+  (* first writer wins: summaries for the same key are equal sets (PPTA
+     is deterministic), so keeping the incumbent only pins
+     representation. Returns how many keys were new. Must only run while
+     no worker is reading the base (between rounds/requests). *)
   let fresh = ref 0 in
   List.iter
     (fun ((node, syms, state, objs, tuples, fp) : entry_image) ->
@@ -304,23 +250,12 @@ let base_compact_ring (b : base) =
     Queue.transfer live b.b_ring
   end
 
+(* Runs on the owning thread between requests, never concurrently with
+   readers. *)
 let base_invalidate (b : base) dirty =
-  (* Same footprint discipline as the per-engine [invalidate] below: an
-     entry survives an edit burst iff its derivation never visited a
-     dirtied node. Runs on the owning thread between requests, never
-     concurrently with readers. *)
-  let dirtyt = Hashtbl.create 64 in
-  List.iter (fun d -> Hashtbl.replace dirtyt d ()) dirty;
+  let stale = Ppta.stale dirty in
   let doomed = ref [] in
-  Base_tbl.iter
-    (fun key e ->
-      let dead =
-        match e.be_fp with
-        | [] -> true (* a real PPTA footprint at least holds the root *)
-        | fp -> List.exists (Hashtbl.mem dirtyt) fp
-      in
-      if dead then doomed := key :: !doomed)
-    b.b_tbl;
+  Base_tbl.iter (fun key e -> if stale e.be_fp then doomed := key :: !doomed) b.b_tbl;
   List.iter (Base_tbl.remove b.b_tbl) !doomed;
   base_compact_ring b;
   (List.length !doomed, Base_tbl.length b.b_tbl)
@@ -338,34 +273,43 @@ let base_health t =
   | None -> (0, 0, 0, 0)
   | Some b -> (base_hits b, base_misses b, base_evictions b, base_length b)
 
-let save_cache t path =
+(* The file holds the tier's entries as one sorted snapshot, so its
+   bytes depend only on which summaries the tier holds, never on the
+   order (or the domains) they arrived in. *)
+let save_base (b : base) pag path =
+  let images =
+    Base_tbl.fold
+      (fun (node, syms, state) e acc ->
+        ((node, syms, state, e.be_objs, e.be_tuples, e.be_fp) : entry_image) :: acc)
+      b.b_tbl []
+  in
   let oc = open_out_bin path in
   Fun.protect
     ~finally:(fun () -> close_out_noerr oc)
     (fun () ->
       Marshal.to_channel oc
-        (magic, fingerprint t.pag, Pag.graph_hash t.pag, Pag.epoch t.pag, snapshot t)
+        (magic, fingerprint pag, Pag.graph_hash pag, Pag.epoch pag, List.sort compare_image images)
         [])
 
-let load_cache t path =
+let load_base b pag path =
   match open_in_bin path with
   | exception Sys_error msg -> Error msg
   | ic ->
     Fun.protect
       ~finally:(fun () -> close_in_noerr ic)
       (fun () ->
-        match (Marshal.from_channel ic : string * 'a * int * int * entry_image list) with
+        match (Marshal.from_channel ic : string * 'a * int * int * snapshot) with
         | exception _ -> Error "corrupt cache file"
         | file_magic, fp, ghash, _epoch, images ->
           if file_magic <> magic then Error "not a dynsum cache file"
-          else if fp <> fingerprint t.pag then Error "cache was built for a different PAG"
-          else if ghash <> Pag.graph_hash t.pag then
+          else if fp <> fingerprint pag then Error "cache was built for a different PAG"
+          else if ghash <> Pag.graph_hash pag then
             (* counts can collide across different edge sets (e.g. one
                assign deleted, another inserted); the order-independent
                edge-multiset hash cannot, so a cache from a drifted build
                of the same program is refused here *)
             Error "cache was built for a different version of this PAG"
-          else absorb_images t images)
+          else Ok (base_add b images))
 
 let no_local_event = Trace.Counter { engine = name; name = "no_local_fastpath"; delta = 1 }
 
@@ -437,25 +381,15 @@ let summarise t u f s =
 
 (* ----------------------- targeted invalidation ---------------------- *)
 
-(* Drop exactly the entries whose derivation footprint meets the dirty
-   set. Sound because the local walk only ever reads adjacency at nodes
-   it visits, and an edit burst dirties both endpoints of every changed
-   edge — so an edge change that could alter a summary always lands on a
-   footprint node. Entries with no recorded footprint (none today, but a
-   future producer might skip tracing) are dropped conservatively. *)
+(* Drop exactly the entries the {!Ppta.stale} cut condemns. Entries
+   with no recorded footprint are dropped conservatively. *)
 let invalidate t dirty =
-  let n = Pag.node_count t.pag in
-  let dirtyb = Bytes.make (max 1 n) '\000' in
-  List.iter (fun d -> if d >= 0 && d < n then Bytes.set dirtyb d '\001') dirty;
+  let stale = Ppta.stale dirty in
   let doomed = ref [] in
   Cache.iter
     (fun key _ ->
-      let dead =
-        match Cache.find_opt t.footprints key with
-        | None | Some [] -> true (* a real PPTA footprint at least holds the root *)
-        | Some fp -> List.exists (fun v -> Bytes.get dirtyb v = '\001') fp
-      in
-      if dead then doomed := key :: !doomed)
+      if stale (Option.value ~default:[] (Cache.find_opt t.footprints key)) then
+        doomed := key :: !doomed)
     t.cache;
   List.iter
     (fun key ->

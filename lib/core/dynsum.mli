@@ -57,65 +57,40 @@ val summary_points : t -> int
 val clear_cache : t -> unit
 
 val invalidate : t -> Pag.node list -> int * int
-(** [invalidate t dirty] drops every cached summary whose derivation
-    footprint (the PAG nodes its PPTA run visited) intersects the dirty
-    set of an edit burst ({!Pag.commit}'s [c_dirty]); all other entries
-    are provably unaffected and survive. Returns
-    [(dropped, retained)]. *)
+(** [invalidate t dirty] drops every cached summary that the
+    {!Ppta.stale} cut condemns for the dirty set of an edit burst
+    ({!Pag.commit}'s [c_dirty]); all other entries are provably
+    unaffected and survive. Returns [(dropped, retained)]. *)
 
-(** {2 Cache persistence}
+(** {2 Snapshots}
 
-    The summary cache is the analysis session's accumulated knowledge; an
-    IDE wants it to survive restarts. Summaries are serialised
-    structurally (field stacks as symbol lists — hash-cons ids are
-    process-local) together with a fingerprint of the PAG (node and
-    per-kind edge counts), and a load against a differently-shaped PAG is
-    refused. *)
+    Summaries leave an engine only through a {!base} tier: a worker
+    snapshots what it computed and the main domain merges the snapshot
+    into the tier with {!base_add}. *)
 
 type snapshot
 (** Structural (domain-portable) image of a summary cache: field stacks
     travel as symbol lists, never as hash-cons ids, so a snapshot taken
-    in one domain can be absorbed in any other. *)
+    in one domain can be added to a tier read by any other. *)
 
 val snapshot : t -> snapshot
 (** Image of the summaries {e this engine computed itself}: entries
     memoised from a shared {!base} tier are excluded, so per-round
     snapshots in the parallel scheduler count each summary's derivation
-    exactly once. Sorted, so the marshalled bytes are independent of
-    insertion (and hence scheduling) order. *)
+    exactly once. Sorted, so the order {!base_add} inserts (and later
+    evicts) entries does not depend on insertion, hence scheduling,
+    order. *)
 
-val deferred_snapshot : t -> snapshot Lazy.t
-(** {!snapshot}, taken when forced. Until then it keeps this engine's
-    summary tables reachable (nothing else of the engine); forcing
-    releases them. The engine must not derive more summaries before it
-    is forced, and it must be forced on a domain that may read the
-    engine (its own, or one that has joined it). *)
-
-val snapshot_length : snapshot -> int
-
-val absorb : t -> snapshot -> int
-(** Merge a snapshot into this engine's live cache, re-interning every
-    stack in the calling domain's hash-cons store. Existing entries win
-    over incoming ones (the summaries are equal anyway — PPTA is
-    deterministic, so two caches never disagree on a key). Returns the
-    number of entries added. *)
-
-val snapshot_union : snapshot list -> snapshot
-(** Union of several snapshots, last-writer-wins on identical
-    [(node, stack, state)] keys; result is sorted so it does not depend
-    on how the entries were distributed across the inputs. The parallel
-    batch scheduler merges per-domain caches with this between rounds. *)
-
-val snapshot_keys : snapshot -> (int * int list * int) list
-(** The [(node, stack symbols, state)] key of every entry, in snapshot
-    order — the order [compare] puts the keys in. *)
+val new_summary_keys : t -> (int * int list * int) list
+(** The structural [(node, stack symbols, state)] key of every summary
+    this engine computed itself, in no particular order: what the
+    parallel scheduler deduplicates across domains when a round is not
+    published. *)
 
 (** {2 Shared base tier}
 
-    The parallel batch scheduler used to re-absorb the full merged cache
-    into every worker each round — N domains × M summaries of re-interning,
-    all counted again in [merged_summaries]. Instead, the merged summaries
-    of earlier rounds now live in a {!base}: a structurally-keyed table
+    The merged summaries of earlier rounds live in a {!base}: a
+    structurally-keyed table
     built once on the main domain and shared {e by reference} across
     worker engines, structurally read-only after {!set_base} (the main
     domain only grows or evicts between rounds, after every worker has
@@ -128,7 +103,10 @@ val snapshot_keys : snapshot -> (int * int list * int) list
     The serve daemon promotes the same table to a {e cross-request} tier:
     size-bounded with second-chance (clock) eviction, hit/miss/eviction
     counters, and footprint-keyed invalidation so an edit burst evicts
-    exactly the dirtied summaries instead of flushing the store. *)
+    exactly the dirtied summaries instead of flushing the store.
+
+    The tier is also what persists: {!save_base} and {!load_base} carry
+    it across restarts. *)
 
 type base
 (** Merged summary table, shareable across domains because its keys and
@@ -146,8 +124,8 @@ val base_add : base -> snapshot -> int
     base (between parallel rounds / between serve requests). *)
 
 val base_invalidate : base -> Pag.node list -> int * int
-(** [base_invalidate b dirty] drops every entry whose derivation
-    footprint meets the dirty set of an edit burst ({!Pag.commit}'s
+(** [base_invalidate b dirty] drops every entry the {!Ppta.stale} cut
+    condemns for the dirty set of an edit burst ({!Pag.commit}'s
     [c_dirty]), exactly like the per-engine {!invalidate}; all other
     entries provably still describe the edited graph and survive.
     Returns [(dropped, retained)]. Must not run concurrently with
@@ -183,18 +161,26 @@ val new_summary_count : t -> int
 (** Summaries this engine computed itself (excludes base-tier memos) —
     the per-round "new work" figure the scheduler reports. *)
 
-val save_cache : t -> string -> unit
-(** Write the cache to a file. @raise Sys_error on IO failure. *)
+(** {2 Persistence}
 
-val load_cache : t -> string -> (int, string) result
-(** Merge a saved cache into this engine; returns the number of entries
-    loaded, or an error for a missing/corrupt file, a PAG-fingerprint
-    mismatch, or a {!Pag.graph_hash} mismatch (the header records the
-    exact edge-multiset hash and epoch at save time, so a cache from a
-    drifted build of the same program — where node/edge {e counts} may
-    still collide — is refused rather than replayed). Failures never
-    mutate the live cache: the payload is decoded and validated in full
-    before any entry is committed. *)
+    An IDE wants the accumulated summaries to survive restarts. The file
+    ([ptsto-dynsum-cache-v2]) holds a header — a fingerprint of the PAG
+    (node and per-kind edge counts), its {!Pag.graph_hash} and epoch —
+    and the tier's entries as one sorted structural snapshot, so its
+    bytes do not depend on the order the summaries arrived in. *)
+
+val save_base : base -> Pag.t -> string -> unit
+(** Write the tier, built against [pag], to a file.
+    @raise Sys_error on IO failure. *)
+
+val load_base : base -> Pag.t -> string -> (int, string) result
+(** Merge a saved tier into [b] with {!base_add}; returns the number of
+    entries that were new, or an error for a missing/corrupt file, a
+    PAG-fingerprint mismatch, or a {!Pag.graph_hash} mismatch (so a file
+    from a drifted build of the same program — where node/edge {e counts}
+    may still collide — is refused rather than replayed). All or
+    nothing: the file is decoded and checked in full before any entry
+    reaches the tier, so a failure leaves it unchanged. *)
 
 val budget : t -> Budget.t
 val stats : t -> Pts_util.Stats.t

@@ -1,18 +1,7 @@
-(* Conf and the RRP context helpers moved below the engines (Conf, Kernel)
-   so this module can sit on top of them and own the registry; the type
-   equations keep external code compiling against the old names. *)
-
-type conf = Conf.t = {
-  budget_limit : int;
-  max_field_repeat : int;
-  max_field_depth : int;
-}
-
-let default_conf = Conf.default
-let conf = Conf.make
-
-let push_ctx = Kernel.push_ctx
-let pop_ctx = Kernel.pop_ctx
+let conf ?(budget_limit = Conf.default.Conf.budget_limit)
+    ?(max_field_repeat = Conf.default.Conf.max_field_repeat)
+    ?(max_field_depth = Conf.default.Conf.max_field_depth) () =
+  { Conf.budget_limit; max_field_repeat; max_field_depth }
 
 type points_to_fn = ?satisfy:(Query.Target_set.t -> bool) -> Pag.node -> Query.outcome
 
@@ -81,7 +70,7 @@ let supa t =
 
 (* ----------------------------- registry ---------------------------- *)
 
-type builder = ?conf:conf -> ?trace:Trace.sink -> Pag.t -> engine
+type builder = ?conf:Conf.t -> ?trace:Trace.sink -> Pag.t -> engine
 
 type spec = { spec_name : string; spec_doc : string; build : builder }
 

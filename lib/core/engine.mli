@@ -3,42 +3,11 @@
     Every demand analysis in the system is exposed as an {!type:engine}
     record, and every consumer — [bin/ptsto], the client pipeline, the
     bench harness — selects engines by name from the one {!registry}
-    table instead of pattern-matching constructors.
-
-    For compatibility this module also re-exports the configuration
-    record (now {!Conf.t}, shared by everything below the engines) and the
-    RRP context helpers (now in {!Kernel}): the paper's Figure 3(b)
-    recursive state machine, including the recursion-collapsing rule of
-    §5.1 (entry/exit edges of a call site inside a call-graph cycle are
-    traversed context-insensitively) and the realizability rule that
-    allows an empty stack to pop (partially balanced paths). *)
-
-type conf = Conf.t = {
-  budget_limit : int; (** max PAG edge traversals per query (paper: 75,000) *)
-  max_field_repeat : int;
-      (** max occurrences of one field in a field stack; a push beyond it
-          is cut — the stack-world analogue of Algorithm 1's visited-set
-          cycle cut around recursive heap structures (see {!Fstack}) *)
-  max_field_depth : int;
-      (** hard stack cap, a backstop: a push beyond it k-limits the access
-          path, a sound over-approximation (see {!Fstack}) *)
-}
-
-val default_conf : conf
-(** [{ budget_limit = 75_000; max_field_repeat = 2; max_field_depth = 64 }]. *)
+    table instead of pattern-matching constructors. *)
 
 val conf :
-  ?budget_limit:int -> ?max_field_repeat:int -> ?max_field_depth:int -> unit -> conf
-
-(** {2 Context stacks (call-site ids)} *)
-
-val push_ctx : Pag.t -> Pts_util.Hstack.t -> int -> Pts_util.Hstack.t
-(** Enter a method through call site [i] (no-op for recursive sites). *)
-
-val pop_ctx : Pag.t -> Pts_util.Hstack.t -> int -> Pts_util.Hstack.t option
-(** Leave a method through call site [i]: [None] when the path is
-    unrealizable (stack top differs from [i]); [Some] of the popped stack
-    when the top matches, the stack is empty, or the site is recursive. *)
+  ?budget_limit:int -> ?max_field_repeat:int -> ?max_field_depth:int -> unit -> Conf.t
+(** A configuration: {!Conf.default} with the given fields replaced. *)
 
 (** {2 The common engine interface} *)
 
@@ -78,7 +47,7 @@ val supa : Supa.t -> engine
 
 (** {2 The registry} *)
 
-type builder = ?conf:conf -> ?trace:Trace.sink -> Pag.t -> engine
+type builder = ?conf:Conf.t -> ?trace:Trace.sink -> Pag.t -> engine
 
 type spec = { spec_name : string; spec_doc : string; build : builder }
 
@@ -90,6 +59,6 @@ val registry : spec list
 val names : unit -> string list
 val find : string -> spec option
 
-val create : ?conf:conf -> ?trace:Trace.sink -> string -> Pag.t -> engine
+val create : ?conf:Conf.t -> ?trace:Trace.sink -> string -> Pag.t -> engine
 (** Build an engine by registry name.
     @raise Invalid_argument on an unknown name. *)

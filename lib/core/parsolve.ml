@@ -26,22 +26,29 @@ type result = {
   actual_steps : int array;
   merged_summaries : int;
   unique_summaries : int;
-  summaries : Dynsum.snapshot Lazy.t;
   base_hits : int;
   base_misses : int;
   base_evictions : int;
   base_size : int;
 }
 
+(* How a DYNSUM worker hands back the summaries it computed itself. A
+   published round sends a snapshot, for the tier. An unpublished round
+   on several domains sends only their keys, because domains overlap and
+   [unique_summaries] must count each key once. One domain sends
+   nothing: one engine never derives a key twice. *)
+type export =
+  | Snapshot of Dynsum.snapshot
+  | Keys of (int * int list * int) list
+  | Nothing
+
 (* What one domain hands back from one round. Everything in here is
    either immutable, or mutable state the worker stops touching before
    [Domain.join] (which is the happens-before edge the main domain reads
    it under). Field stacks inside [wr_outcomes] are hash-consed in the
    {e worker's} store and must be rebased before the main domain may use
-   them as keys (see {!Pts_util.Hstack.rebase}); [wr_snapshot] is
-   structural and travels freely. It is already forced when the round is
-   exported; otherwise it is forced — on the calling domain, after join —
-   only if the final pool is. *)
+   them as keys (see {!Pts_util.Hstack.rebase}); [wr_export] is
+   structural and travels freely. *)
 type worker_result = {
   wr_outcomes : (int * Query.outcome * int) list; (* index, outcome, steps *)
   wr_stats : Stats.t;
@@ -49,7 +56,7 @@ type worker_result = {
   wr_seconds : float;
   wr_summaries : int;
   wr_steals : int;
-  wr_snapshot : Dynsum.snapshot Lazy.t option; (* DYNSUM only *)
+  wr_export : export option; (* DYNSUM only *)
 }
 
 (* DYNSUM is special-cased by registry name: the uniform [Engine.engine]
@@ -142,13 +149,7 @@ let run_worker ~conf ~trace_writer ~engine_name ~pag ~base ~export ~deques ~self
     wr_summaries =
       (match dyn with Some d -> Dynsum.new_summary_count d | None -> eng.Engine.summary_count ());
     wr_steals = !steals;
-    wr_snapshot =
-      Option.map
-        (fun d ->
-          let s = Dynsum.deferred_snapshot d in
-          if export then ignore (Lazy.force s);
-          s)
-        dyn;
+    wr_export = Option.map export dyn;
   }
 
 let run ?(conf = Conf.default) ?trace_writer ?(jobs = 1) ?(rounds = 1) ?base
@@ -183,8 +184,9 @@ let run ?(conf = Conf.default) ?trace_writer ?(jobs = 1) ?(rounds = 1) ?base
      read it — a later round of this call, or a tier the caller keeps —
      and likewise the internal tier exists only when a later round will
      read it, so a one-round call probes no empty table on every miss.
-     [all_snaps] remembers every worker's (possibly unforced) snapshot
-     for the final pool. *)
+     [unique] counts fresh tier insertions and one engine's own
+     summaries; [seen] holds the distinct keys of an unpublished last
+     round on several domains. *)
   let rounds = min rounds (max n 1) in
   let caller_tier = Option.is_some base in
   let base =
@@ -192,9 +194,9 @@ let run ?(conf = Conf.default) ?trace_writer ?(jobs = 1) ?(rounds = 1) ?base
     | Some _ as b -> if engine_name = "dynsum" then b else None
     | None -> if engine_name = "dynsum" && rounds > 1 then Some (Dynsum.base_create ()) else None
   in
-  let all_snaps = ref [] in
   let produced = ref 0 in
-  let producers = ref 0 in
+  let unique = ref 0 in
+  let seen = Hashtbl.create 64 in
   let total_steals = ref 0 in
   let (), wall_seconds =
     Stats.time (fun () ->
@@ -221,12 +223,13 @@ let run ?(conf = Conf.default) ?trace_writer ?(jobs = 1) ?(rounds = 1) ?base
                 dq)
               shares
           in
-          (* A published round is snapshotted inside its workers. So is
-             every round with several domains: their summaries overlap,
-             so the pool is forced for [unique_summaries] anyway, and
-             snapshotting in parallel beats doing it after join. *)
-          let publish = round < rounds - 1 || caller_tier in
-          let export = publish || jobs > 1 in
+          (* the worker builds its export, so several domains build
+             theirs in parallel *)
+          let export d =
+            if round < rounds - 1 || caller_tier then Snapshot (Dynsum.snapshot d)
+            else if jobs > 1 then Keys (Dynsum.new_summary_keys d)
+            else Nothing
+          in
           let work d =
             run_worker ~conf ~trace_writer ~engine_name ~pag ~base ~export ~deques ~self:d
           in
@@ -258,30 +261,18 @@ let run ?(conf = Conf.default) ?trace_writer ?(jobs = 1) ?(rounds = 1) ?base
             results;
           Array.iter
             (fun wr ->
-              match wr.wr_snapshot with
+              match wr.wr_export with
               | None -> ()
-              | Some s -> (
+              | Some ex -> (
                 produced := !produced + wr.wr_summaries;
-                if wr.wr_summaries > 0 then incr producers;
-                all_snaps := s :: !all_snaps;
-                match base with
-                | Some b when publish -> ignore (Dynsum.base_add b (Lazy.force s))
-                | _ -> ()))
+                match ex with
+                | Snapshot s -> Option.iter (fun b -> unique := !unique + Dynsum.base_add b s) base
+                | Keys ks -> List.iter (fun k -> Hashtbl.replace seen k ()) ks
+                | Nothing -> unique := !unique + wr.wr_summaries))
             results
         done)
   in
   if !total_steals > 0 then Stats.add agg_stats "steals" !total_steals;
-  (* Same input order as an eager export (rounds, then domains), so the
-     forced pool is the one every round would have published. *)
-  let summaries =
-    let snaps = List.rev !all_snaps in
-    lazy (Dynsum.snapshot_union (List.map Lazy.force snaps))
-  in
-  (* One engine's snapshot has no duplicate keys; only several producers
-     can overlap, and only then does the count need the pool. *)
-  let unique_summaries =
-    if !producers <= 1 then !produced else Dynsum.snapshot_length (Lazy.force summaries)
-  in
   let base_hits, base_misses, base_evictions, base_size =
     match base with
     | None -> (0, 0, 0, 0)
@@ -297,8 +288,7 @@ let run ?(conf = Conf.default) ?trace_writer ?(jobs = 1) ?(rounds = 1) ?base
     steals = !total_steals;
     actual_steps;
     merged_summaries = !produced;
-    unique_summaries;
-    summaries;
+    unique_summaries = !unique + Hashtbl.length seen;
     base_hits;
     base_misses;
     base_evictions;

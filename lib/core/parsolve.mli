@@ -23,8 +23,7 @@
     published to later rounds through a shared read-only base tier
     ({!Dynsum.base}): after all workers of a round join, their structural
     {!Dynsum.snapshot}s are merged into the base, which round [k+1]'s
-    engines consult by reference on cache miss — no more re-absorbing
-    (and re-counting) the whole pool into every domain. Merging cannot
+    engines consult by reference on cache miss. Merging cannot
     change answers: a PPTA summary is context-independent, so a summary
     computed under one domain's query mix is valid under any other's
     (see DESIGN.md, "Parallel batch evaluation and the packed PAG").
@@ -32,12 +31,12 @@
     {b Export on demand.} Snapshotting, sorting and merging a round only
     pays off if something reads the result, so a round is published
     (snapshotted inside its workers, merged into the base) only when a
-    later round follows it or the caller passed its own [?base]. The last
-    round of a call with the internal tier is not published. With several
-    domains it is still snapshotted inside the workers, because their
-    pools overlap and {!field-unique_summaries} forces the union anyway;
-    with one domain — the whole of a one-shot check — it is not
-    snapshotted at all unless a caller forces {!field-summaries}.
+    later round follows it or the caller passed its own [?base]. The
+    tier is the only place summaries leave a run: the last round of a
+    call with the internal tier is not published, and nothing of it
+    outlives the call. With several domains its workers hand back only
+    their summary keys, for {!field-unique_summaries}; with one domain —
+    the whole of a one-shot check — they hand back nothing.
 
     Hash-consed stacks never cross domains raw: snapshots carry symbol
     lists, and worker outcomes are {!Pts_util.Hstack.rebase}d into the
@@ -78,17 +77,10 @@ type result = {
           this is the cross-domain recomputation the base tier exists to
           kill *)
   unique_summaries : int;
-      (** distinct summary keys in the final pool; equals
-          {!field-merged_summaries} without building the pool when a single
-          engine derived every summary, otherwise read off the forced pool *)
-  summaries : Dynsum.snapshot Lazy.t;
-      (** the final merged pool — every round's summaries, exported or
-          not — built only when forced; absorb into a fresh engine to
-          persist. Force it on the calling domain: a round that was not
-          snapshotted is snapshotted from its (joined) worker engine then.
-          Until forced, the summary tables of such an engine stay
-          reachable from this field — drop the result, or force it, to
-          release them *)
+      (** distinct summary keys derived by the run: the entries each
+          published round newly added to the tier, plus the distinct keys
+          of an unpublished last round. With a bounded [?base], a summary
+          evicted and derived again counts again *)
   base_hits : int;
       (** base-tier lookup hits; for a caller-supplied [?base] these are
           its {e lifetime} tallies (delta across the call is the caller's
@@ -127,7 +119,9 @@ val run :
     [base] supplies an external (possibly size-bounded) summary tier to
     read through and publish into, instead of the per-call tier built
     when [rounds > 1]; ignored for non-DYNSUM engines. Every round, the last
-    included, is exported into it. The caller owns its
+    included, is exported into it, so after the call it holds every
+    summary the run derived (less any evicted): this is how a caller
+    keeps or persists them ({!Dynsum.save_base}). The caller owns its
     freshness: the tier must describe the PAG as currently edited
     ({!Dynsum.base_invalidate} after every {!Pag.apply_edits}) and must
     not be touched while the run is in flight. The serve daemon uses

@@ -18,3 +18,13 @@ let compute_with_footprint pag conf budget v0 f0 s0 =
   let trace v _ _ = fp := v :: !fp in
   let summary = compute pag conf budget ~trace v0 f0 s0 in
   (summary, List.sort_uniq Int.compare !fp)
+
+(* One bitmap per burst; footprint nodes beyond the highest dirty id
+   cannot be dirty. *)
+let stale dirty =
+  let size = List.fold_left (fun m d -> max m (d + 1)) 0 dirty in
+  let bits = Bytes.make size '\000' in
+  List.iter (fun d -> if d >= 0 then Bytes.set bits d '\001') dirty;
+  function
+  | [] -> true (* a real PPTA footprint at least holds the root *)
+  | fp -> List.exists (fun v -> v < size && Bytes.get bits v = '\001') fp

@@ -41,3 +41,12 @@ val compute_with_footprint :
 (** {!compute}, plus the run's derivation footprint: the distinct PAG
     nodes it visited, ascending. A cached summary stays valid across an
     edit burst iff no footprint node got dirty. *)
+
+val stale : Pag.node list -> int list -> bool
+(** [stale dirty fp]: the one invalidation cut every summary store
+    applies after an edit burst with dirty nodes [dirty]. A summary
+    whose footprint [fp] meets the dirty set, or is empty (no recorded
+    derivation), is dropped; any other provably still describes the
+    edited graph, because the local walk only reads adjacency at nodes
+    it visits and a burst dirties both endpoints of every changed edge.
+    Apply it partially, once per burst. *)

@@ -102,21 +102,15 @@ let summarise t u f s =
       Tbl.replace t.footprints (key u f s) fp;
       summary
 
-(* Same footprint-vs-dirty cut as {!Dynsum.invalidate}; dropped offline
-   entries are recovered lazily by the online backfill above. *)
+(* The {!Ppta.stale} cut; dropped offline entries are recovered lazily
+   by the online backfill above. *)
 let invalidate t dirty =
-  let n = Pag.node_count t.pag in
-  let dirtyb = Bytes.make (max 1 n) '\000' in
-  List.iter (fun d -> if d >= 0 && d < n then Bytes.set dirtyb d '\001') dirty;
+  let stale = Ppta.stale dirty in
   let doomed = ref [] in
   Tbl.iter
     (fun key _ ->
-      let dead =
-        match Tbl.find_opt t.footprints key with
-        | None | Some [] -> true
-        | Some fp -> List.exists (fun v -> Bytes.get dirtyb v = '\001') fp
-      in
-      if dead then doomed := key :: !doomed)
+      if stale (Option.value ~default:[] (Tbl.find_opt t.footprints key)) then
+        doomed := key :: !doomed)
     t.cache;
   List.iter
     (fun key ->

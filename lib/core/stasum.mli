@@ -37,7 +37,7 @@ val truncated : t -> bool
 
 val invalidate : t -> Pag.node list -> int * int
 (** Drop the offline/backfilled summaries whose derivation footprint
-    intersects an edit burst's dirty nodes (see {!Dynsum.invalidate});
+    meets an edit burst's dirty nodes (the {!Ppta.stale} cut);
     dropped keys are recomputed lazily by the online phase on next use.
     Returns [(dropped, retained)]. *)
 

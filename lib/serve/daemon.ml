@@ -4,16 +4,7 @@ module Pipeline = Pts_clients.Pipeline
 module Stats = Pts_util.Stats
 module J = Trace.Json
 
-(* The same four query-set clients [ptsto client -c] exposes, so a serve
-   [query] request and a one-shot CLI run answer from identical query
-   lists (byte-identity between the two is an acceptance gate). *)
-let clients =
-  [
-    ("safecast", ("SafeCast", Pts_clients.Safecast.queries));
-    ("nullderef", ("NullDeref", Pts_clients.Nullderef.queries));
-    ("factorym", ("FactoryM", Pts_clients.Factorym.queries));
-    ("devirt", ("Devirt", Pts_clients.Devirt.queries));
-  ]
+let clients = Pts_clients.Queryset.all
 
 type config = {
   c_jobs : int;

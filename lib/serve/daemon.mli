@@ -33,8 +33,8 @@ val default_config : config
     queue capacity 64, pipeline window 1. *)
 
 val clients : (string * (string * (Pts_clients.Pipeline.t -> Pts_clients.Client.query list))) list
-(** Query-set clients a [query] request can name, keyed by the same
-    lowercase names [ptsto client -c] accepts. *)
+(** Query-set clients a [query] request can name: {!Pts_clients.Queryset.all},
+    the table [ptsto client -c] reads too. *)
 
 type t
 

@@ -310,7 +310,7 @@ let test_ppta_figure2_retget () =
   in
   let node = Pag.local_node pag ~meth:get.Ir.id ~var:ret_var in
   let budget = Budget.unlimited () in
-  let summary = Ppta.compute pag Engine.default_conf budget node Hstack.empty Ppta.S1 in
+  let summary = Ppta.compute pag Conf.default budget node Hstack.empty Ppta.S1 in
   check (Alcotest.list Alcotest.int) "no objects locally" [] summary.Ppta.objs;
   check Alcotest.bool "has frontier tuples" true (summary.Ppta.tuples <> []);
   (* one frontier must be this_get with a two-deep load stack *)
@@ -327,8 +327,8 @@ let test_ppta_context_independence () =
   let pag = pl.Pts_clients.Pipeline.pag in
   let s1 = Pts_workload.Figure2.s1 pl in
   let budget = Budget.unlimited () in
-  let a = Ppta.compute pag Engine.default_conf budget s1 Hstack.empty Ppta.S1 in
-  let b = Ppta.compute pag Engine.default_conf budget s1 Hstack.empty Ppta.S1 in
+  let a = Ppta.compute pag Conf.default budget s1 Hstack.empty Ppta.S1 in
+  let b = Ppta.compute pag Conf.default budget s1 Hstack.empty Ppta.S1 in
   check Alcotest.int "same objs" (List.length a.Ppta.objs) (List.length b.Ppta.objs);
   check Alcotest.int "same tuples" (List.length a.Ppta.tuples) (List.length b.Ppta.tuples)
 
@@ -381,116 +381,101 @@ let test_dynsum_query_order_irrelevant () =
     (fun a b -> check Alcotest.bool "order-independent" true (Query.equal_outcome a b))
     r1 r2
 
+(* A tier holding the summaries one engine derived for [queries]. *)
+let tier_after pag queries =
+  let d = Dynsum.create pag in
+  let answers = List.map (fun q -> Dynsum.points_to d q.Pts_clients.Client.q_node) queries in
+  let tier = Dynsum.base_create () in
+  ignore (Dynsum.base_add tier (Dynsum.snapshot d));
+  (tier, answers)
+
+(* [load_base] into [tier] must fail and leave it as it was. *)
+let check_refused what tier pag path =
+  let before = Dynsum.base_length tier in
+  (match Dynsum.load_base tier pag path with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.failf "%s accepted" what);
+  check Alcotest.int "tier untouched" before (Dynsum.base_length tier)
+
+let with_cache_file f =
+  let path = Filename.temp_file "dynsum" ".cache" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
+
 let test_dynsum_cache_persistence () =
   let pl = Pts_workload.Suite.pipeline "jack" in
   let pag = pl.Pts_clients.Pipeline.pag in
   let queries = Pts_clients.Safecast.queries pl in
-  let warm = Dynsum.create pag in
-  let cold_answers = List.map (fun q -> Dynsum.points_to warm q.Pts_clients.Client.q_node) queries in
-  let path = Filename.temp_file "dynsum" ".cache" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      Dynsum.save_cache warm path;
-      let restored = Dynsum.create pag in
-      (match Dynsum.load_cache restored path with
-      | Ok n -> check Alcotest.bool "entries loaded" true (n > 0)
+  let warm, cold_answers = tier_after pag queries in
+  with_cache_file (fun path ->
+      Dynsum.save_base warm pag path;
+      let restored = Dynsum.base_create () in
+      (match Dynsum.load_base restored pag path with
+      | Ok n -> check Alcotest.int "every entry loaded" (Dynsum.base_length warm) n
       | Error e -> Alcotest.fail e);
-      check Alcotest.int "cache size restored" (Dynsum.summary_count warm)
-        (Dynsum.summary_count restored);
-      (* restored engine answers identically and without recomputation *)
-      let restored_answers =
-        List.map (fun q -> Dynsum.points_to restored q.Pts_clients.Client.q_node) queries
-      in
+      check Alcotest.int "tier size restored" (Dynsum.base_length warm) (Dynsum.base_length restored);
+      (* an engine over the restored tier answers identically and without
+         recomputation *)
+      let d = Dynsum.create pag in
+      Dynsum.set_base d restored;
+      let restored_answers = List.map (fun q -> Dynsum.points_to d q.Pts_clients.Client.q_node) queries in
       List.iter2
         (fun a b -> check Alcotest.bool "same answers after reload" true (Query.equal_outcome a b))
         cold_answers restored_answers;
-      check Alcotest.int "no recomputation" 0
-        (Pts_util.Stats.get (Dynsum.stats restored) "summary_misses");
+      check Alcotest.int "no recomputation" 0 (Pts_util.Stats.get (Dynsum.stats d) "summary_misses");
       (* loading against a different PAG is refused *)
       let other = Pts_workload.Suite.pipeline "javac" in
-      let wrong = Dynsum.create other.Pts_clients.Pipeline.pag in
-      match Dynsum.load_cache wrong path with
-      | Error _ -> ()
-      | Ok _ -> Alcotest.fail "fingerprint mismatch accepted")
+      check_refused "fingerprint mismatch" (Dynsum.base_create ()) other.Pts_clients.Pipeline.pag path)
 
 let test_dynsum_cache_corrupt_file () =
   let pl = pipeline Pts_workload.Figure2.source in
-  let dynsum = Dynsum.create pl.Pts_clients.Pipeline.pag in
-  let path = Filename.temp_file "dynsum" ".cache" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      let oc = open_out path in
-      output_string oc "not a cache";
-      close_out oc;
-      (match Dynsum.load_cache dynsum path with
-      | Error _ -> ()
-      | Ok _ -> Alcotest.fail "corrupt file accepted");
-      check Alcotest.int "live cache untouched" 0 (Dynsum.summary_count dynsum))
+  with_cache_file (fun path ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc "not a cache");
+      check_refused "corrupt file" (Dynsum.base_create ()) pl.Pts_clients.Pipeline.pag path)
 
 let test_dynsum_cache_missing_file () =
   let pl = pipeline Pts_workload.Figure2.source in
-  let dynsum = Dynsum.create pl.Pts_clients.Pipeline.pag in
-  ignore (Dynsum.points_to dynsum (Pts_workload.Figure2.s1 pl));
-  let before = Dynsum.summary_count dynsum in
-  (match Dynsum.load_cache dynsum "/nonexistent/dynsum.cache" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "missing file accepted");
-  check Alcotest.int "live cache untouched" before (Dynsum.summary_count dynsum)
+  let pag = pl.Pts_clients.Pipeline.pag in
+  let d = Dynsum.create pag in
+  ignore (Dynsum.points_to d (Pts_workload.Figure2.s1 pl));
+  let tier = Dynsum.base_create () in
+  ignore (Dynsum.base_add tier (Dynsum.snapshot d));
+  check Alcotest.bool "tier populated" true (Dynsum.base_length tier > 0);
+  check_refused "missing file" tier pag "/nonexistent/dynsum.cache"
 
 let test_dynsum_cache_truncated_file () =
-  (* a payload cut off mid-marshal must be rejected atomically: the live
-     cache keeps its pre-load contents *)
+  (* a payload cut off mid-marshal must be rejected atomically: the tier
+     keeps its pre-load contents *)
   let pl = Pts_workload.Suite.pipeline "jack" in
   let pag = pl.Pts_clients.Pipeline.pag in
-  let warm = Dynsum.create pag in
-  List.iter
-    (fun q -> ignore (Dynsum.points_to warm q.Pts_clients.Client.q_node))
-    (Pts_clients.Safecast.queries pl);
-  let path = Filename.temp_file "dynsum" ".cache" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      Dynsum.save_cache warm path;
+  let queries = Pts_clients.Safecast.queries pl in
+  let warm, _ = tier_after pag queries in
+  with_cache_file (fun path ->
+      Dynsum.save_base warm pag path;
       let full = In_channel.with_open_bin path In_channel.input_all in
       check Alcotest.bool "cache file non-trivial" true (String.length full > 64);
-      let oc = open_out_bin path in
-      output_string oc (String.sub full 0 (String.length full / 2));
-      close_out oc;
-      let victim = Dynsum.create pag in
-      ignore (Dynsum.points_to victim (List.hd (Pts_clients.Safecast.queries pl)).Pts_clients.Client.q_node);
-      let before = Dynsum.summary_count victim in
-      (match Dynsum.load_cache victim path with
-      | Error _ -> ()
-      | Ok _ -> Alcotest.fail "truncated file accepted");
-      check Alcotest.int "live cache untouched" before (Dynsum.summary_count victim);
-      (* the engine still works after the failed load *)
-      ignore
-        (Dynsum.points_to victim
-           (List.hd (Pts_clients.Safecast.queries pl)).Pts_clients.Client.q_node))
+      Out_channel.with_open_bin path (fun oc ->
+          output_string oc (String.sub full 0 (String.length full / 2)));
+      let victim, _ = tier_after pag [ List.hd queries ] in
+      check_refused "truncated file" victim pag path;
+      (* the tier still serves an engine after the failed load *)
+      let d = Dynsum.create pag in
+      Dynsum.set_base d victim;
+      ignore (Dynsum.points_to d (List.hd queries).Pts_clients.Client.q_node);
+      check Alcotest.bool "tier still hit" true (Dynsum.base_hits victim > 0))
 
 let test_dynsum_cache_fingerprint_no_mutation () =
-  (* the fingerprint-mismatch refusal must also leave the target cache
+  (* the fingerprint-mismatch refusal must also leave the target tier
      alone *)
   let pl = Pts_workload.Suite.pipeline "jack" in
-  let warm = Dynsum.create pl.Pts_clients.Pipeline.pag in
-  List.iter
-    (fun q -> ignore (Dynsum.points_to warm q.Pts_clients.Client.q_node))
-    (Pts_clients.Safecast.queries pl);
-  let path = Filename.temp_file "dynsum" ".cache" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      Dynsum.save_cache warm path;
+  let pag = pl.Pts_clients.Pipeline.pag in
+  let warm, _ = tier_after pag (Pts_clients.Safecast.queries pl) in
+  with_cache_file (fun path ->
+      Dynsum.save_base warm pag path;
       let other = Pts_workload.Suite.pipeline "javac" in
-      let wrong = Dynsum.create other.Pts_clients.Pipeline.pag in
-      ignore (Dynsum.points_to wrong (List.hd (Pts_clients.Safecast.queries other)).Pts_clients.Client.q_node);
-      let before = Dynsum.summary_count wrong in
-      (match Dynsum.load_cache wrong path with
-      | Error _ -> ()
-      | Ok _ -> Alcotest.fail "fingerprint mismatch accepted");
-      check Alcotest.int "live cache untouched" before (Dynsum.summary_count wrong))
+      let opag = other.Pts_clients.Pipeline.pag in
+      let wrong, _ = tier_after opag [ List.hd (Pts_clients.Safecast.queries other) ] in
+      check Alcotest.bool "target tier populated" true (Dynsum.base_length wrong > 0);
+      check_refused "fingerprint mismatch" wrong opag path)
 
 (* ------------------------------ STASUM ------------------------------ *)
 

@@ -169,12 +169,14 @@ let test_stale_cache_rejected () =
   List.iteri (fun i q -> if i < 5 then ignore (Dynsum.points_to d q.Client.q_node))
     (sample_queries pl);
   check Alcotest.bool "something cached" true (Dynsum.summary_count d > 0);
+  let tier = Dynsum.base_create () in
+  ignore (Dynsum.base_add tier (Dynsum.snapshot d));
   let path = Filename.temp_file "ptsto-incr" ".cache" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      Dynsum.save_cache d path;
-      (match Dynsum.load_cache (Dynsum.create ~conf pag) path with
+      Dynsum.save_base tier pag path;
+      (match Dynsum.load_base (Dynsum.base_create ()) pag path with
       | Ok n -> check Alcotest.bool "same-graph load succeeds" true (n > 0)
       | Error e -> Alcotest.failf "same-graph load failed: %s" e);
       let src, dst = find_assign pag in
@@ -194,11 +196,13 @@ let test_stale_cache_rejected () =
       ignore
         (Pag.apply_edits pag
            [ Pag.Edel (Pag.Eassign { src; dst }); Pag.Eadd (Pag.Eassign { src; dst = other }) ]);
-      match Dynsum.load_cache (Dynsum.create ~conf pag) path with
+      let fresh = Dynsum.base_create () in
+      (match Dynsum.load_base fresh pag path with
       | Ok _ -> Alcotest.fail "stale cache (count-preserving edit) was accepted"
       | Error msg ->
         check Alcotest.bool "error names the version mismatch" true
-          (String.length msg > 0))
+          (String.length msg > 0));
+      check Alcotest.int "tier untouched" 0 (Dynsum.base_length fresh))
 
 (* ------------- witness across a deleted edge: fail, not crash -------- *)
 

@@ -77,10 +77,7 @@ let test_steal_accounting () =
   in
   Alcotest.(check int) "every query answered exactly once" n report_queries;
   Alcotest.(check bool) "unique summaries bounded by derivations" true
-    (r.Parsolve.unique_summaries <= r.Parsolve.merged_summaries);
-  Alcotest.(check int) "final pool length matches the count"
-    r.Parsolve.unique_summaries
-    (Dynsum.snapshot_length (Lazy.force r.Parsolve.summaries))
+    (r.Parsolve.unique_summaries <= r.Parsolve.merged_summaries)
 
 (* One domain pops its deque in arrival order, so every query charges
    exactly the steps it charges in a sequential loop over the batch: a
@@ -101,7 +98,7 @@ let test_arrival_order_at_one_domain () =
   Alcotest.(check (array int)) "per-query steps of a sequential loop" expected
     r.Parsolve.actual_steps
 
-(* --------------------- cache merging preserves answers -------------------- *)
+(* --------------------- tier merging preserves answers --------------------- *)
 
 let test_snapshot_merge_preserves_answers () =
   let pl = Lazy.force pl in
@@ -112,79 +109,81 @@ let test_snapshot_merge_preserves_answers () =
   let d1 = Dynsum.create ~conf pag and d2 = Dynsum.create ~conf pag in
   List.iter (fun q -> ignore (Dynsum.points_to d1 q.Client.q_node)) half1;
   List.iter (fun q -> ignore (Dynsum.points_to d2 q.Client.q_node)) half2;
-  let merged = Dynsum.snapshot_union [ Dynsum.snapshot d1; Dynsum.snapshot d2 ] in
-  Alcotest.(check bool) "union is non-empty" true (Dynsum.snapshot_length merged > 0);
+  let tier = Dynsum.base_create () in
+  ignore (Dynsum.base_add tier (Dynsum.snapshot d1));
+  ignore (Dynsum.base_add tier (Dynsum.snapshot d2));
+  Alcotest.(check bool) "tier is non-empty" true (Dynsum.base_length tier > 0);
   let seeded = Dynsum.create ~conf pag in
-  Alcotest.(check bool) "absorb adds entries" true (Dynsum.absorb seeded merged > 0);
+  Dynsum.set_base seeded tier;
   let fresh = Dynsum.create ~conf pag in
   List.iter
     (fun q ->
       let a = Dynsum.points_to seeded q.Client.q_node in
       let b = Dynsum.points_to fresh q.Client.q_node in
       if not (Query.equal_outcome a b) then
-        Alcotest.failf "merged cache changed the answer for %s" q.Client.q_desc)
-    qs
+        Alcotest.failf "merged tier changed the answer for %s" q.Client.q_desc)
+    qs;
+  Alcotest.(check bool) "the seeded engine read the tier" true (Dynsum.base_hits tier > 0)
 
 let test_snapshot_union_is_idempotent () =
   let pl = Lazy.force pl in
   let d = Dynsum.create ~conf pl.Pipeline.pag in
   List.iter (fun q -> ignore (Dynsum.points_to d q.Client.q_node)) (Lazy.force queries);
   let s = Dynsum.snapshot d in
-  Alcotest.(check int) "union with itself adds nothing"
-    (Dynsum.snapshot_length (Dynsum.snapshot_union [ s ]))
-    (Dynsum.snapshot_length (Dynsum.snapshot_union [ s; s; s ]))
+  let tier = Dynsum.base_create () in
+  let n = Dynsum.base_add tier s in
+  Alcotest.(check int) "first add takes every summary" (Dynsum.summary_count d) n;
+  Alcotest.(check int) "re-adding adds nothing" 0 (Dynsum.base_add tier s + Dynsum.base_add tier s);
+  Alcotest.(check int) "tier holds one copy" n (Dynsum.base_length tier)
 
-(* ----------------- export matrix: eager and deferred rounds ---------------- *)
+(* --------------- export matrix: published and unpublished rounds ----------- *)
 
-(* Absorb a snapshot into a fresh engine and serialise its cache;
-   snapshots are sorted and base-tier memos are never exported, so the
-   bytes must not depend on how the batch was scheduled. *)
-let save_bytes snapshot =
-  let pl = Lazy.force pl in
-  let d = Dynsum.create ~conf pl.Pipeline.pag in
-  ignore (Dynsum.absorb d snapshot);
+(* The bytes [Dynsum.save_base] writes for a tier. Saved tiers are
+   sorted and base-tier memos are never exported, so the bytes must not
+   depend on how the batch was scheduled. *)
+let save_bytes tier =
   let path = Filename.temp_file "ptsto_cache" ".bin" in
-  Dynsum.save_cache d path;
-  let ic = open_in_bin path in
-  let b = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  Sys.remove path;
-  b
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Dynsum.save_base tier (Lazy.force pl).Pipeline.pag path;
+      In_channel.with_open_bin path In_channel.input_all)
 
-(* Every (jobs, rounds, tier) cell must agree with one
-   sequential DYNSUM engine: same outcomes, and a final pool — built on
-   demand from exported snapshots plus unexported engines — whose cache
-   bytes are the sequential engine's. A caller-owned tier is exported
-   every round, so it must end up holding exactly the pool's keys. *)
+let tier_of engines =
+  let tier = Dynsum.base_create () in
+  List.iter (fun d -> ignore (Dynsum.base_add tier (Dynsum.snapshot d))) engines;
+  tier
+
+(* Every (jobs, rounds, tier) cell must agree with one sequential DYNSUM
+   engine: same outcomes and as many distinct summaries. A caller-owned
+   tier is exported every round, so it must end up holding exactly the
+   sequential engine's summaries, and save to its bytes. *)
 let sequential =
   lazy
     (let pl = Lazy.force pl in
      let d = Dynsum.create ~conf pl.Pipeline.pag in
      let outs = List.map (fun q -> Dynsum.points_to d q.Client.q_node) (Lazy.force queries) in
-     (outs, save_bytes (Dynsum.snapshot d)))
+     (outs, Dynsum.summary_count d, save_bytes (tier_of [ d ])))
 
-let test_export_cell ~jobs ~rounds ~caller_tier () =
-  let pl = Lazy.force pl in
-  let expected, seq_bytes = Lazy.force sequential in
-  let tier = if caller_tier then Some (Dynsum.base_create ~capacity:0 ()) else None in
-  let r =
-    Parsolve.run ~conf ~jobs ~rounds ?base:tier ~engine:"dynsum" pl.Pipeline.pag (qarr ())
-  in
+let check_outcomes expected r =
   List.iteri
     (fun i expect ->
       if not (Query.equal_outcome expect r.Parsolve.outcomes.(i)) then
         Alcotest.failf "query %d differs from sequential" i)
-    expected;
-  if jobs = 1 && rounds = 1 then
-    Alcotest.(check bool) "one engine: pool not built" false (Lazy.is_val r.Parsolve.summaries);
-  let pool = Lazy.force r.Parsolve.summaries in
+    expected
+
+let test_export_cell ~jobs ~rounds ~caller_tier () =
+  let pl = Lazy.force pl in
+  let expected, seq_summaries, seq_bytes = Lazy.force sequential in
+  let tier = if caller_tier then Some (Dynsum.base_create ~capacity:0 ()) else None in
+  let r =
+    Parsolve.run ~conf ~jobs ~rounds ?base:tier ~engine:"dynsum" pl.Pipeline.pag (qarr ())
+  in
+  check_outcomes expected r;
   Alcotest.(check bool) "summaries were derived" true (r.Parsolve.merged_summaries > 0);
-  Alcotest.(check int) "unique = pool length" r.Parsolve.unique_summaries
-    (Dynsum.snapshot_length pool);
+  Alcotest.(check int) "unique = sequential summaries" seq_summaries r.Parsolve.unique_summaries;
   Alcotest.(check bool) "unique <= merged" true
     (r.Parsolve.unique_summaries <= r.Parsolve.merged_summaries);
-  Alcotest.(check bool) "pool bytes = sequential cache bytes" true
-    (String.equal seq_bytes (save_bytes pool));
   match tier with
   | None ->
     if rounds = 1 then
@@ -194,14 +193,41 @@ let test_export_cell ~jobs ~rounds ~caller_tier () =
     Alcotest.(check int) "caller tier grew by unique" r.Parsolve.unique_summaries
       (Dynsum.base_length b);
     Alcotest.(check int) "base_size reports the caller tier" (Dynsum.base_length b)
-      r.Parsolve.base_size
+      r.Parsolve.base_size;
+    Alcotest.(check bool) "tier bytes = sequential saved bytes" true
+      (String.equal seq_bytes (save_bytes b))
+
+(* What [ptsto client --cache F --jobs 2] does twice: the first run
+   grows a fresh tier and saves it; the second loads every summary back
+   and derives none, and both save the sequential engine's bytes. *)
+let test_cache_round_trip_jobs2 () =
+  let pl = Lazy.force pl in
+  let pag = pl.Pipeline.pag in
+  let expected, seq_summaries, seq_bytes = Lazy.force sequential in
+  let path = Filename.temp_file "ptsto_cache" ".bin" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let first = Dynsum.base_create () in
+      check_outcomes expected (Parsolve.run ~conf ~jobs:2 ~base:first ~engine:"dynsum" pag (qarr ()));
+      Dynsum.save_base first pag path;
+      let second = Dynsum.base_create () in
+      (match Dynsum.load_base second pag path with
+      | Ok n -> Alcotest.(check int) "loaded = saved" seq_summaries n
+      | Error e -> Alcotest.fail e);
+      let r = Parsolve.run ~conf ~jobs:2 ~base:second ~engine:"dynsum" pag (qarr ()) in
+      check_outcomes expected r;
+      Alcotest.(check int) "warm run derives nothing" 0
+        (Pts_util.Stats.get r.Parsolve.stats "summary_misses");
+      Alcotest.(check bool) "both runs save the sequential bytes" true
+        (String.equal seq_bytes (save_bytes first) && String.equal seq_bytes (save_bytes second)))
 
 (* With no caller tier and no later round, nothing would read an internal
    tier, so none is built: no miss probes an empty table, and the run
    misses exactly the summaries one sequential engine misses. *)
 let test_one_round_builds_no_tier () =
   let pl = Lazy.force pl in
-  let expected, _ = Lazy.force sequential in
+  let expected, _, _ = Lazy.force sequential in
   let d = Dynsum.create ~conf pl.Pipeline.pag in
   List.iter (fun q -> ignore (Dynsum.points_to d q.Client.q_node)) (Lazy.force queries);
   let r = Parsolve.run ~conf ~engine:"dynsum" pl.Pipeline.pag (qarr ()) in
@@ -237,27 +263,38 @@ let export_matrix =
 
 (* ------------------------ snapshot order is [compare] ---------------------- *)
 
-(* Snapshots sort with a key comparator; it must reproduce the order
-   polymorphic [compare] gave whole images, or saved cache bytes and base
-   insertion order drift. Keys are unique, so sorted-and-unique keys are
-   exactly that order. *)
+(* A saved tier sorts its entries with a key comparator; it must
+   reproduce the order polymorphic [compare] gives whole images, or saved
+   cache bytes drift. The file is [ptsto-dynsum-cache-v2]: a header, then
+   the images. *)
+type image = int * int list * int * int list * (int * int list * int) list * int list
+
 let test_snapshot_order_is_compare () =
   let pl = Lazy.force pl in
   let pag = pl.Pipeline.pag in
   let qs = Lazy.force queries in
-  let in_compare_order what s =
-    let keys = Dynsum.snapshot_keys s in
-    Alcotest.(check bool) (what ^ " has several entries") true (List.length keys > 1);
-    Alcotest.(check bool) (what ^ " keys sorted by compare, no duplicates") true
-      (keys = List.sort_uniq compare keys)
+  let in_compare_order what tier =
+    let path = Filename.temp_file "ptsto_cache" ".bin" in
+    let _, _, _, _, (images : image list) =
+      Fun.protect
+        ~finally:(fun () -> Sys.remove path)
+        (fun () ->
+          Dynsum.save_base tier pag path;
+          (In_channel.with_open_bin path Marshal.from_channel
+            : string * (int * int * int * int * int * int * int * int) * int * int * image list))
+    in
+    let keys = List.map (fun (n, syms, st, _, _, _) -> (n, syms, st)) images in
+    Alcotest.(check bool) (what ^ " has several entries") true (List.length images > 1);
+    Alcotest.(check bool) (what ^ " sorted by compare") true (images = List.sort compare images);
+    Alcotest.(check bool) (what ^ " keys unique") true (List.length keys = List.length (List.sort_uniq compare keys))
   in
   let whole = Dynsum.create ~conf pag in
   List.iter (fun q -> ignore (Dynsum.points_to whole q.Client.q_node)) qs;
-  in_compare_order "jack snapshot" (Dynsum.snapshot whole);
+  in_compare_order "jack tier" (tier_of [ whole ]);
   let d1 = Dynsum.create ~conf pag and d2 = Dynsum.create ~conf pag in
   List.iteri (fun i q -> if i mod 2 = 0 then ignore (Dynsum.points_to d1 q.Client.q_node)) qs;
   List.iteri (fun i q -> if i mod 3 = 0 then ignore (Dynsum.points_to d2 q.Client.q_node)) qs;
-  in_compare_order "two-engine union" (Dynsum.snapshot_union [ Dynsum.snapshot d1; Dynsum.snapshot d2 ])
+  in_compare_order "two-engine tier" (tier_of [ d1; d2 ])
 
 (* ------------------------- trace line integrity --------------------------- *)
 
@@ -341,6 +378,8 @@ let () =
           Alcotest.test_case "one round builds no tier" `Quick test_one_round_builds_no_tier;
         ] );
       ("export", export_matrix);
+      ( "persistence",
+        [ Alcotest.test_case "cache round trip at jobs 2" `Quick test_cache_round_trip_jobs2 ] );
       ("trace", [ Alcotest.test_case "whole lines only" `Quick test_parallel_trace_whole_lines ]);
       ("hstack", [ Alcotest.test_case "rebase across domains" `Quick test_hstack_rebase_across_domains ]);
       ("validation", [ Alcotest.test_case "argument checks" `Quick test_run_validations ]);

@@ -171,7 +171,7 @@ let test_witness_found () =
       let last = List.nth steps (List.length steps - 1) in
       let budget = Budget.unlimited () in
       let summary =
-        Ppta.compute pag Engine.default_conf budget last.Witness.w_node last.Witness.w_fstack
+        Ppta.compute pag Conf.default budget last.Witness.w_node last.Witness.w_fstack
           last.Witness.w_state
       in
       check Alcotest.bool "last step exposes the site" true (List.mem site summary.Ppta.objs);
