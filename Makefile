@@ -30,19 +30,22 @@ smoke:
 
 # --cache end to end on two domains: the first run saves the summary
 # tier, the second loads every summary back ("loaded N" equals the first
-# run's "saved N") and saves it again, byte-identical to a one-domain
-# run's file.
+# run's "saved N"), answers every summary from it (base hits, no summary
+# misses in its metrics blob) and saves it again, byte-identical to a
+# one-domain run's file.
 smoke-cache:
 	rm -f /tmp/ptsto_cache_j1.bin /tmp/ptsto_cache_j2.bin
 	$(DUNE) exec bin/ptsto.exe -- client --bench jack -c safecast --cache /tmp/ptsto_cache_j1.bin --jobs 1 > /dev/null
 	$(DUNE) exec bin/ptsto.exe -- client --bench jack -c safecast --cache /tmp/ptsto_cache_j2.bin --jobs 2 > /tmp/ptsto_cache_run1.txt
-	$(DUNE) exec bin/ptsto.exe -- client --bench jack -c safecast --cache /tmp/ptsto_cache_j2.bin --jobs 2 > /tmp/ptsto_cache_run2.txt
+	$(DUNE) exec bin/ptsto.exe -- client --bench jack -c safecast --cache /tmp/ptsto_cache_j2.bin --jobs 2 --metrics-json > /tmp/ptsto_cache_run2.txt
 	cmp /tmp/ptsto_cache_j1.bin /tmp/ptsto_cache_j2.bin
-	python3 -c 'import re; \
+	python3 -c 'import json,re; \
 	  n=lambda f, w: int(re.search(r"^%s (\d+) summaries" % w, open(f).read(), re.M).group(1)); \
 	  saved=n("/tmp/ptsto_cache_run1.txt", "saved"); loaded=n("/tmp/ptsto_cache_run2.txt", "loaded"); \
 	  assert saved > 0 and loaded == saved, (saved, loaded); \
-	  print("cache smoke ok:", saved, "summaries saved at jobs 2 and loaded back, file == jobs 1 bytes")'
+	  c=json.loads(open("/tmp/ptsto_cache_run2.txt").read().splitlines()[-1])["counters"]; \
+	  assert c.get("summary_misses", 0) == 0 and c.get("base_hits", 0) > 0, c; \
+	  print("cache smoke ok:", saved, "summaries saved at jobs 2 and loaded back,", c["base_hits"], "base hits, no misses, file == jobs 1 bytes")'
 
 # The same client through the parallel batch scheduler: two worker
 # domains over the shared frozen PAG, validated via the parallel metrics

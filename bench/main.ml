@@ -907,10 +907,8 @@ let parallel_conf = Engine.conf ~budget_limit:2_000_000 ()
    keeps the minimum wall time (answers and steps are deterministic; only
    the clock is noisy) — the smoke variant uses it so its jobs=1 row is a
    scheduling measurement, not an OS-jitter one. *)
-let run_parallel_bench ~artefact ~bench ~jobs_list ~rounds ?(repeat = 1) () =
-  hr
-    (Printf.sprintf "Extension — parallel batch evaluation (%s, NullDeref, dynsum, %d round%s)"
-       bench rounds (if rounds = 1 then "" else "s"));
+let run_parallel_bench ~artefact ~bench ~jobs_list ?(repeat = 1) () =
+  hr (Printf.sprintf "Extension — parallel batch evaluation (%s, NullDeref, dynsum)" bench);
   let pl = Suite.pipeline bench in
   let queries = Pts_clients.Nullderef.queries pl in
   let qarr = Array.of_list (List.map (fun q -> Parsolve.query q.Client.q_node) queries) in
@@ -942,19 +940,17 @@ let run_parallel_bench ~artefact ~bench ~jobs_list ~rounds ?(repeat = 1) () =
         Timing.sample ~repeat
           ~wall:(fun r -> r.Parsolve.wall_seconds)
           (fun () ->
-            Parsolve.run ~conf:parallel_conf ~jobs ~rounds ~engine:"dynsum" pl.Pipeline.pag qarr)
+            Parsolve.run ~conf:parallel_conf ~jobs ~engine:"dynsum" pl.Pipeline.pag qarr)
       in
       let steps = List.fold_left (fun a d -> a + d.Parsolve.dr_steps) 0 r.Parsolve.reports in
-      (* per-domain total steps across rounds; imbalance = max/mean —
-         1.0 is a perfectly level load *)
-      let by_domain = Array.make jobs 0 in
-      List.iter
-        (fun d -> by_domain.(d.Parsolve.dr_domain) <- by_domain.(d.Parsolve.dr_domain) + d.Parsolve.dr_steps)
-        r.Parsolve.reports;
+      (* imbalance = max/mean of the per-domain steps — 1.0 is a
+         perfectly level load *)
       let imbalance =
         let mean = float_of_int steps /. float_of_int jobs in
         if mean <= 0.0 then 1.0
-        else float_of_int (Array.fold_left max 0 by_domain) /. mean
+        else
+          float_of_int (List.fold_left (fun a d -> max a d.Parsolve.dr_steps) 0 r.Parsolve.reports)
+          /. mean
       in
       let equal, speedup =
         match !baseline with
@@ -970,7 +966,6 @@ let run_parallel_bench ~artefact ~bench ~jobs_list ~rounds ?(repeat = 1) () =
       in
       Bm.row artefact ~bench ~engine:"dynsum" ~jobs
         [
-          ("rounds", Bm.Json.Int r.Parsolve.rounds);
           ("queries", Bm.Json.Int (Array.length qarr));
           ("wall_seconds", Bm.Json.Float wall);
           ("steps", Bm.Json.Int steps);
@@ -978,10 +973,6 @@ let run_parallel_bench ~artefact ~bench ~jobs_list ~rounds ?(repeat = 1) () =
           ("queue_imbalance", Bm.Json.Float imbalance);
           ("merged_summaries", Bm.Json.Int r.Parsolve.merged_summaries);
           ("unique_summaries", Bm.Json.Int r.Parsolve.unique_summaries);
-          ("base_hits", Bm.Json.Int r.Parsolve.base_hits);
-          ("base_misses", Bm.Json.Int r.Parsolve.base_misses);
-          ("base_evictions", Bm.Json.Int r.Parsolve.base_evictions);
-          ("base_size", Bm.Json.Int r.Parsolve.base_size);
           ("speedup_vs_jobs1", Bm.Json.Float speedup);
           ("set_equal_vs_first", Bm.Json.Bool equal);
           ("recommended_domains", Bm.Json.Int (Domain.recommended_domain_count ()));
@@ -991,7 +982,6 @@ let run_parallel_bench ~artefact ~bench ~jobs_list ~rounds ?(repeat = 1) () =
                  (fun d ->
                    Bm.Json.Obj
                      [
-                       ("round", Bm.Json.Int d.Parsolve.dr_round);
                        ("domain", Bm.Json.Int d.Parsolve.dr_domain);
                        ("queries", Bm.Json.Int d.Parsolve.dr_queries);
                        ("steps", Bm.Json.Int d.Parsolve.dr_steps);
@@ -1018,21 +1008,20 @@ let run_parallel_bench ~artefact ~bench ~jobs_list ~rounds ?(repeat = 1) () =
   Printf.printf
     "(wall-clock speedup tracks the machine's core count — %d domain(s) recommended here;\n\
     \ 'derived' counts every summary computed in some domain, 'unique' the distinct keys:\n\
-    \ their gap is the cross-domain recomputation the shared base tier eliminates)\n"
+    \ their gap is the cross-domain recomputation)\n"
     (Domain.recommended_domain_count ());
   Bm.flush artefact
     ~note:
-      ("recommended_domains is Domain.recommended_domain_count() of the measuring host — 1 in the \
-        CI container, so wall-clock speedup is unattainable there and the steps/imbalance columns \
-        are the machine-independent signal. jobs is the requested domain count, independent of \
-        the host. rounds=" ^ string_of_int rounds)
+      "recommended_domains is Domain.recommended_domain_count() of the measuring host — 1 in the \
+       CI container, so wall-clock speedup is unattainable there and the steps/imbalance columns \
+       are the machine-independent signal. jobs is the requested domain count, independent of the \
+       host."
 
 let parallel () =
-  run_parallel_bench ~artefact:"parallel" ~bench:Suite.largest ~jobs_list:[ 1; 2; 4 ] ~rounds:2 ()
+  run_parallel_bench ~artefact:"parallel" ~bench:Suite.largest ~jobs_list:[ 1; 2; 4 ] ()
 
 let parallel_smoke () =
-  run_parallel_bench ~artefact:"parallel_smoke" ~bench:"jack" ~jobs_list:[ 1; 2 ] ~rounds:1
-    ~repeat:5 ()
+  run_parallel_bench ~artefact:"parallel_smoke" ~bench:"jack" ~jobs_list:[ 1; 2 ] ~repeat:5 ()
 
 (* --------------------------------------------------------------------- *)
 (* Taint checker: precision/recall on seeded defects, per engine          *)
@@ -1364,7 +1353,6 @@ let run_serve_equiv ~artefact ~bench () =
         Check.o_engine = engine;
         o_conf = Engine.conf ();
         o_jobs = 1;
-        o_rounds = 1;
         o_base = None;
       }
     in

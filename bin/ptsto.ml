@@ -118,12 +118,11 @@ let metrics_json rows =
   let get e k = Pts_util.Stats.get e.Engine.stats k in
   Obj
     [
-      ("schema", String "ptsto.metrics/1");
+      ("schema", String "ptsto.metrics/2");
       ( "engines",
         List
           (List.map
              (fun (client, (e : Engine.engine)) ->
-               let base_hits, base_misses, base_evictions, base_size = e.Engine.cache_health () in
                Obj
                  ((match client with None -> [] | Some c -> [ ("client", String c) ])
                  @ [
@@ -133,10 +132,6 @@ let metrics_json rows =
                    ("summary_hits", Int (get e "summary_hits"));
                    ("summary_misses", Int (get e "summary_misses"));
                    ("summaries", Int (e.Engine.summary_count ()));
-                   ("base_hits", Int base_hits);
-                   ("base_misses", Int base_misses);
-                   ("base_evictions", Int base_evictions);
-                   ("base_size", Int base_size);
                    ( "counters",
                      Obj (List.map (fun (k, v) -> (k, Int v)) (Pts_util.Stats.to_list e.Engine.stats))
                    );
@@ -217,12 +212,12 @@ let query_cmd lang file bench meth var engine_name budget trace metrics =
                 (Query.sites ts));
             if metrics then print_metrics [ (None, engine) ]))
 
-(* One driver at every --jobs/--rounds: at jobs 1, Parsolve answers the
-   batch in arrival order on one engine, exactly as a sequential loop
-   would. With --cache, a dynsum tier loaded from the file is read
-   through and grown by every round, then saved back. *)
-let client_cmd lang file bench client_key engine_name budget cache_file trace metrics vjson jobs
-    rounds =
+(* One driver at every --jobs: at jobs 1, Parsolve answers the batch in
+   arrival order on one engine, exactly as a sequential loop would. With
+   --cache, a dynsum tier loaded from the file is read through and grown
+   by the run, then saved back. *)
+let client_cmd lang file bench client_key engine_name budget cache_file trace metrics vjson
+    jobs =
   with_pipeline ?lang file bench (fun pl ->
       let pag = pl.Pipeline.pag in
       let cname, queries_of = List.assoc client_key clients in
@@ -248,7 +243,7 @@ let client_cmd lang file bench client_key engine_name budget cache_file trace me
           (List.map (fun q -> Parsolve.query ~satisfy:q.Client.q_pred q.Client.q_node) queries)
       in
       let r =
-        Parsolve.run ~conf ?trace_writer:writer ~jobs ~rounds ?base:(Option.map fst cache)
+        Parsolve.run ~conf ?trace_writer:writer ~jobs ?base:(Option.map fst cache)
           ~engine:engine_name pag qarr
       in
       Option.iter Trace.writer_close writer;
@@ -258,16 +253,15 @@ let client_cmd lang file bench client_key engine_name budget cache_file trace me
       in
       let tally = Client.tally_of verdicts in
       Printf.printf
-        "%s with %s: %d queries in %.3fs (%d steps, %d jobs, %d rounds, %d steals, %d unique \
-         summaries)\n"
+        "%s with %s: %d queries in %.3fs (%d steps, %d jobs, %d steals, %d unique summaries)\n"
         cname engine_name (Array.length qarr) r.Parsolve.wall_seconds steps r.Parsolve.jobs
-        r.Parsolve.rounds r.Parsolve.steals r.Parsolve.unique_summaries;
+        r.Parsolve.steals r.Parsolve.unique_summaries;
       Format.printf "  %a@." Client.pp_tally tally;
       List.iter
         (fun d ->
-          Printf.printf "  round %d domain %d: %d queries, %d steps, %.3fs, %d summaries, %d steals\n"
-            d.Parsolve.dr_round d.Parsolve.dr_domain d.Parsolve.dr_queries d.Parsolve.dr_steps
-            d.Parsolve.dr_seconds d.Parsolve.dr_summaries d.Parsolve.dr_steals)
+          Printf.printf "  domain %d: %d queries, %d steps, %.3fs, %d summaries, %d steals\n"
+            d.Parsolve.dr_domain d.Parsolve.dr_queries d.Parsolve.dr_steps d.Parsolve.dr_seconds
+            d.Parsolve.dr_summaries d.Parsolve.dr_steals)
         r.Parsolve.reports;
       List.iter
         (fun (q, v) ->
@@ -289,28 +283,22 @@ let client_cmd lang file bench client_key engine_name budget cache_file trace me
           (to_string
              (Obj
                 [
-                  ("schema", String "ptsto.parallel-metrics/4");
+                  ("schema", String "ptsto.parallel-metrics/5");
                   ("engine", String engine_name);
                   ("jobs", Int r.Parsolve.jobs);
                   ("recommended_domains", Int (Domain.recommended_domain_count ()));
-                  ("rounds", Int r.Parsolve.rounds);
                   ("queries", Int (Array.length qarr));
                   ("steps", Int steps);
                   ("wall_seconds", Float r.Parsolve.wall_seconds);
                   ("steals", Int r.Parsolve.steals);
                   ("merged_summaries", Int r.Parsolve.merged_summaries);
                   ("unique_summaries", Int r.Parsolve.unique_summaries);
-                  ("base_hits", Int r.Parsolve.base_hits);
-                  ("base_misses", Int r.Parsolve.base_misses);
-                  ("base_evictions", Int r.Parsolve.base_evictions);
-                  ("base_size", Int r.Parsolve.base_size);
                   ( "domains",
                     List
                       (List.map
                          (fun d ->
                            Obj
                              [
-                               ("round", Int d.Parsolve.dr_round);
                                ("domain", Int d.Parsolve.dr_domain);
                                ("queries", Int d.Parsolve.dr_queries);
                                ("steps", Int d.Parsolve.dr_steps);
@@ -476,7 +464,7 @@ let check_source file bench tflows tclean tkill tweak =
     exit 2
 
 let check_cmd lang file bench tflows tclean tkill tweak checker_names engine_name budget jobs
-    rounds fail_on report_json metrics =
+    fail_on report_json metrics =
   let module Check = Pts_clients.Check in
   let module Diag = Pts_clients.Diag in
   let source = check_source file bench tflows tclean tkill tweak in
@@ -511,7 +499,6 @@ let check_cmd lang file bench tflows tclean tkill tweak checker_names engine_nam
       Check.o_engine = engine_name;
       o_conf = conf;
       o_jobs = jobs;
-      o_rounds = rounds;
       o_base = None;
     }
   in
@@ -556,10 +543,9 @@ let check_cmd lang file bench tflows tclean tkill tweak checker_names engine_nam
       (to_string
          (Obj
             [
-              ("schema", String "ptsto.check-metrics/2");
+              ("schema", String "ptsto.check-metrics/3");
               ("engine", String engine_name);
               ("jobs", Int jobs);
-              ("rounds", Int rounds);
               ("points", Int report.Check.r_points);
               ("unique_nodes", Int report.Check.r_unique_nodes);
               ("dedup_hits", Int report.Check.r_dedup_hits);
@@ -584,8 +570,8 @@ let check_cmd lang file bench tflows tclean tkill tweak checker_names engine_nam
    newline-delimited JSON requests forever. Responses are the only thing
    written to stdout (the banner goes to stderr), so
    [printf ... | ptsto serve --bench jack] is scriptable as-is. *)
-let serve_cmd lang file bench budget max_budget jobs rounds base_capacity queue_capacity
-    max_cost pipeline socket trace =
+let serve_cmd lang file bench budget max_budget jobs base_capacity queue_capacity max_cost
+    pipeline socket trace =
   let module Daemon = Pts_serve.Daemon in
   let source = check_source file bench 0 0 0 0 in
   let lang = match bench with Some _ -> Loc.Mjava | None -> lang_of lang file in
@@ -603,7 +589,6 @@ let serve_cmd lang file bench budget max_budget jobs rounds base_capacity queue_
       let config =
         {
           Daemon.c_jobs = jobs;
-          c_rounds = rounds;
           c_budget = budget;
           c_max_budget = max_budget;
           c_base_capacity = base_capacity;
@@ -719,20 +704,12 @@ let client_t =
       & info [ "cache" ] ~docv:"FILE"
           ~doc:
             "Persist the dynsum summary tier across runs (load before, save after), at any \
-             $(b,--jobs) and $(b,--rounds).")
+             $(b,--jobs).")
   in
   let jobs =
     jobs_arg
       ~doc:
         "Answer the query batch on $(docv) worker domains over the shared frozen PAG."
-  in
-  let rounds =
-    Arg.(
-      value & opt int 1
-      & info [ "rounds" ] ~docv:"N"
-          ~doc:
-            "Split the batch into $(docv) consecutive rounds, publishing the per-domain dynsum \
-             summaries to a shared base tier between rounds.")
   in
   let vjson =
     Arg.(
@@ -745,7 +722,7 @@ let client_t =
   Cmd.v (Cmd.info "client" ~doc:"Run a client's query set")
     Term.(
       const client_cmd $ lang_arg $ file_arg $ bench_arg $ client $ engine_arg $ budget_arg
-      $ cache $ trace_arg $ metrics_arg $ vjson $ jobs $ rounds)
+      $ cache $ trace_arg $ metrics_arg $ vjson $ jobs)
 
 let compare_t =
   Cmd.v (Cmd.info "compare" ~doc:"All engines on all clients")
@@ -851,11 +828,6 @@ let check_t =
              aliased or loop-carried overwrites that every sound engine must still flag.")
   in
   let jobs = jobs_arg ~doc:"Answer the checker query batch on $(docv) worker domains." in
-  let rounds =
-    Arg.(
-      value & opt int 1
-      & info [ "rounds" ] ~docv:"N" ~doc:"Split the batch into $(docv) consecutive rounds.")
-  in
   let fail_on =
     Arg.(
       value
@@ -884,16 +856,11 @@ let check_t =
   Cmd.v (Cmd.info "check" ~doc:"Run the demand-driven checkers and report diagnostics")
     Term.(
       const check_cmd $ lang_arg $ file_arg $ bench_arg $ taint_flows $ taint_clean $ taint_kill
-      $ taint_weak $ checker $ engine_arg $ budget_arg $ jobs $ rounds $ fail_on
-      $ report_json $ metrics_arg)
+      $ taint_weak $ checker $ engine_arg $ budget_arg $ jobs $ fail_on $ report_json
+      $ metrics_arg)
 
 let serve_t =
   let jobs = jobs_arg ~doc:"Answer each request's query batch on $(docv) worker domains." in
-  let rounds =
-    Arg.(
-      value & opt int 1
-      & info [ "rounds" ] ~docv:"N" ~doc:"Split each request's batch into $(docv) rounds.")
-  in
   let max_budget =
     Arg.(
       value & opt int 0
@@ -946,7 +913,7 @@ let serve_t =
          "Run as a long-lived daemon: freeze one PAG, answer newline-delimited JSON requests \
           (query/check/edit/stats/shutdown) with a persistent cross-request summary tier")
     Term.(
-      const serve_cmd $ lang_arg $ file_arg $ bench_arg $ budget_arg $ max_budget $ jobs $ rounds
+      const serve_cmd $ lang_arg $ file_arg $ bench_arg $ budget_arg $ max_budget $ jobs
       $ base_capacity $ queue_capacity $ max_cost $ pipeline $ socket $ trace_arg)
 
 let run_t =

@@ -46,7 +46,6 @@ type opts = {
   o_engine : string;
   o_conf : Conf.t;
   o_jobs : int;
-  o_rounds : int;
   o_base : Dynsum.base option;
 }
 
@@ -55,7 +54,6 @@ let default_opts =
     o_engine = "dynsum";
     o_conf = Conf.default;
     o_jobs = 1;
-    o_rounds = 1;
     o_base = None;
   }
 
@@ -104,8 +102,8 @@ let run ?(opts = default_opts) ~checkers pl =
                byte-identical across engines and jobs. *)
             let qs = Array.map (fun n -> Parsolve.query n) nodes in
             let res =
-              Parsolve.run ~conf:opts.o_conf ~jobs:opts.o_jobs ~rounds:opts.o_rounds
-                ?base:opts.o_base ~engine:opts.o_engine pag qs
+              Parsolve.run ~conf:opts.o_conf ~jobs:opts.o_jobs ?base:opts.o_base
+                ~engine:opts.o_engine pag qs
             in
             Stats.merge_into ~into:stats res.Parsolve.stats;
             res.Parsolve.outcomes

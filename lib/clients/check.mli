@@ -65,12 +65,11 @@ type opts = {
   o_engine : string;  (** registry name; default ["dynsum"] *)
   o_conf : Conf.t;
   o_jobs : int;  (** {!Parsolve} worker domains; default 1 *)
-  o_rounds : int;
   o_base : Dynsum.base option;
       (** external summary tier handed to {!Parsolve.run} (the serve
-          daemon's cross-request store); default [None] — a per-call
-          tier. Freshness is the caller's contract, see
-          {!Parsolve.run}. *)
+          daemon's cross-request store); default [None] — no tier, the
+          batch's summaries live and die with its engines. Freshness is
+          the caller's contract, see {!Parsolve.run}. *)
 }
 
 val default_opts : opts

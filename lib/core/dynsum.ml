@@ -4,11 +4,11 @@ module Stats = Pts_util.Stats
 module Cache_key = Kernel.Key
 module Cache = Kernel.Key_tbl
 
-(* Shared base tier: merged summaries of earlier rounds (and, in the
-   serve daemon, earlier requests), keyed structurally
+(* Shared base tier: merged summaries of earlier batches (in the serve
+   daemon, earlier requests), keyed structurally
    ((node, stack symbols, state)) so the table crosses domains without
    hash-cons rebasing. Workers never write the table — the main domain
-   grows and evicts between rounds, after all workers have joined — so
+   grows and evicts between batches, after all workers have joined — so
    plain Hashtbl reads from many domains are safe. The two per-entry
    mutables that workers do touch are race-tolerant by design: hit/miss
    tallies are [Atomic.t], and the clock bit is a plain bool whose only
@@ -215,7 +215,7 @@ let base_add (b : base) (s : snapshot) =
   (* first writer wins: summaries for the same key are equal sets (PPTA
      is deterministic), so keeping the incumbent only pins
      representation. Returns how many keys were new. Must only run while
-     no worker is reading the base (between rounds/requests). *)
+     no worker is reading the base (between batches/requests). *)
   let fresh = ref 0 in
   List.iter
     (fun ((node, syms, state, objs, tuples, fp) : entry_image) ->
@@ -268,11 +268,6 @@ let base_evictions (b : base) = Atomic.get b.b_evictions
 
 let set_base t b = t.base <- Some b
 
-let base_health t =
-  match t.base with
-  | None -> (0, 0, 0, 0)
-  | Some b -> (base_hits b, base_misses b, base_evictions b, base_length b)
-
 (* The file holds the tier's entries as one sorted snapshot, so its
    bytes depend only on which summaries the tier holds, never on the
    order (or the domains) they arrived in. *)
@@ -290,6 +285,26 @@ let save_base (b : base) pag path =
       Marshal.to_channel oc
         (magic, fingerprint pag, Pag.graph_hash pag, Pag.epoch pag, List.sort compare_image images)
         [])
+
+(* [Marshal] cannot check a payload's type, but the values of a
+   well-typed one can be checked: every node, state, site and stack
+   symbol must be one this PAG can produce, or the first engine to read
+   the entry indexes out of bounds. *)
+let images_in_range pag (images : snapshot) =
+  let nodes = Pag.node_count pag in
+  let prog = Pag.program pag in
+  let sites = Array.length prog.Ir.allocs in
+  let syms_bound = 2 * Types.field_count prog.Ir.ctable in
+  let node_ok n = 0 <= n && n < nodes in
+  let state_ok st = st = Ppta.state_to_int Ppta.S1 || st = Ppta.state_to_int Ppta.S2 in
+  let syms_ok = List.for_all (fun x -> x = Fstack.unknown_tail || (0 <= x && x < syms_bound)) in
+  List.for_all
+    (fun ((node, syms, state, objs, tuples, fp) : entry_image) ->
+      node_ok node && syms_ok syms && state_ok state
+      && List.for_all (fun o -> 0 <= o && o < sites) objs
+      && List.for_all (fun (n, f, st) -> node_ok n && syms_ok f && state_ok st) tuples
+      && List.for_all node_ok fp)
+    images
 
 let load_base b pag path =
   match open_in_bin path with
@@ -309,6 +324,7 @@ let load_base b pag path =
                edge-multiset hash cannot, so a cache from a drifted build
                of the same program is refused here *)
             Error "cache was built for a different version of this PAG"
+          else if not (images_in_range pag images) then Error "corrupt cache file"
           else Ok (base_add b images))
 
 let no_local_event = Trace.Counter { engine = name; name = "no_local_fastpath"; delta = 1 }

@@ -75,8 +75,8 @@ type snapshot
 
 val snapshot : t -> snapshot
 (** Image of the summaries {e this engine computed itself}: entries
-    memoised from a shared {!base} tier are excluded, so per-round
-    snapshots in the parallel scheduler count each summary's derivation
+    memoised from a shared {!base} tier are excluded, so the parallel
+    scheduler's per-worker snapshots count each summary's derivation
     exactly once. Sorted, so the order {!base_add} inserts (and later
     evicts) entries does not depend on insertion, hence scheduling,
     order. *)
@@ -84,16 +84,16 @@ val snapshot : t -> snapshot
 val new_summary_keys : t -> (int * int list * int) list
 (** The structural [(node, stack symbols, state)] key of every summary
     this engine computed itself, in no particular order: what the
-    parallel scheduler deduplicates across domains when a round is not
-    published. *)
+    parallel scheduler deduplicates across domains when the caller
+    passed no tier. *)
 
 (** {2 Shared base tier}
 
-    The merged summaries of earlier rounds live in a {!base}: a
+    The merged summaries of earlier batches live in a {!base}: a
     structurally-keyed table
     built once on the main domain and shared {e by reference} across
     worker engines, structurally read-only after {!set_base} (the main
-    domain only grows or evicts between rounds, after every worker has
+    domain only grows or evicts between batches, after every worker has
     joined — the only per-entry mutables workers touch are the atomic
     hit/miss tallies and the clock bit, both race-tolerant). Lookups
     re-intern lazily on first use and memoise into the engine's local
@@ -121,7 +121,7 @@ val base_add : base -> snapshot -> int
     how many keys were new. At capacity, each insertion first evicts the
     next clock victim (an entry that has not been hit since its last
     second chance). Must only be called while no domain is reading the
-    base (between parallel rounds / between serve requests). *)
+    base (after a batch's workers join / between serve requests). *)
 
 val base_invalidate : base -> Pag.node list -> int * int
 (** [base_invalidate b dirty] drops every entry the {!Ppta.stale} cut
@@ -138,7 +138,7 @@ val base_capacity : base -> int
 
 val base_hits : base -> int
 (** Lifetime lookup hits against this base, across all attached engines
-    and rounds. *)
+    and batches. *)
 
 val base_misses : base -> int
 (** Lifetime lookups that fell through to a PPTA run (counted only when
@@ -151,15 +151,9 @@ val base_evictions : base -> int
 val set_base : t -> base -> unit
 (** Attach a shared base tier below this engine's cache. *)
 
-val base_health : t -> int * int * int * int
-(** [(hits, misses, evictions, size)] of the attached base tier, all
-    zero when none is attached. Engines surface this through
-    [Engine.cache_health] so [--metrics-json] can report cache health
-    uniformly. *)
-
 val new_summary_count : t -> int
 (** Summaries this engine computed itself (excludes base-tier memos) —
-    the per-round "new work" figure the scheduler reports. *)
+    the per-domain "new work" figure the scheduler reports. *)
 
 (** {2 Persistence}
 
@@ -178,9 +172,13 @@ val load_base : base -> Pag.t -> string -> (int, string) result
     entries that were new, or an error for a missing/corrupt file, a
     PAG-fingerprint mismatch, or a {!Pag.graph_hash} mismatch (so a file
     from a drifted build of the same program — where node/edge {e counts}
-    may still collide — is refused rather than replayed). All or
-    nothing: the file is decoded and checked in full before any entry
-    reaches the tier, so a failure leaves it unchanged. *)
+    may still collide — is refused rather than replayed), or an entry
+    naming a node, state, allocation site or stack symbol outside [pag]
+    (["corrupt cache file"]). All or nothing: the file is decoded and
+    checked in full before any entry reaches the tier, so a failure
+    leaves it unchanged. The payload is read with [Marshal], which is
+    type-unsafe: a file whose payload has the wrong {e shape} under a
+    valid header is still not detected, and may crash the reader. *)
 
 val budget : t -> Budget.t
 val stats : t -> Pts_util.Stats.t

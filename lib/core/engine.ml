@@ -16,10 +16,6 @@ type engine = {
          (dropped, retained). Engines without a cross-query summary cache
          answer (0, 0) — their per-query state rebuilds itself (the
          field-based index is epoch-checked internally). *)
-  cache_health : unit -> int * int * int * int;
-      (* (base_hits, base_misses, base_evictions, base_size) of the shared
-         summary tier this engine reads through, all zero when none is
-         attached (only DYNSUM ever attaches one). *)
 }
 
 (* --------------------------- constructors -------------------------- *)
@@ -32,7 +28,6 @@ let sb ?(name = "sb") t =
     stats = Sb.stats t;
     summary_count = (fun () -> 0);
     invalidate = (fun _ -> (0, 0));
-    cache_health = (fun () -> (0, 0, 0, 0));
   }
 
 let dynsum t =
@@ -43,7 +38,6 @@ let dynsum t =
     stats = Dynsum.stats t;
     summary_count = (fun () -> Dynsum.summary_count t);
     invalidate = (fun dirty -> Dynsum.invalidate t dirty);
-    cache_health = (fun () -> Dynsum.base_health t);
   }
 
 let stasum t =
@@ -54,7 +48,6 @@ let stasum t =
     stats = Stasum.stats t;
     summary_count = (fun () -> Stasum.summary_count t);
     invalidate = (fun dirty -> Stasum.invalidate t dirty);
-    cache_health = (fun () -> (0, 0, 0, 0));
   }
 
 let supa t =
@@ -65,7 +58,6 @@ let supa t =
     stats = Supa.stats t;
     summary_count = (fun () -> 0);
     invalidate = (fun _ -> (0, 0));
-    cache_health = (fun () -> (0, 0, 0, 0));
   }
 
 (* ----------------------------- registry ---------------------------- *)

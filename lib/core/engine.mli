@@ -31,11 +31,6 @@ type engine = {
           returns [(dropped, retained)]. [(0, 0)] for engines without a
           cross-query cache — their graph-derived state (the field-based
           index) re-solves itself on the next query via the PAG epoch. *)
-  cache_health : unit -> int * int * int * int;
-      (** [(base_hits, base_misses, base_evictions, base_size)] of the
-          shared summary tier this engine reads through
-          ({!Dynsum.base_health}); all zero for engines without one, so
-          [--metrics-json] can report cache health uniformly. *)
 }
 
 (** {2 Wrapping a concrete engine} *)

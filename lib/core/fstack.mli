@@ -40,6 +40,9 @@ val sym_field : int -> int
 
 val sym_is_load : int -> bool
 
+val unknown_tail : int
+(** The symbol {!push} leaves at the bottom of a depth-capped stack. *)
+
 val push : Conf.t -> Pts_util.Hstack.t -> int -> Pts_util.Hstack.t option
 (** Push a field. [None] = repeat-limit cut: drop this branch. *)
 

@@ -6,7 +6,6 @@ type query = { node : Pag.node; satisfy : (Query.Target_set.t -> bool) option }
 let query ?satisfy node = { node; satisfy }
 
 type domain_report = {
-  dr_round : int;
   dr_domain : int;
   dr_queries : int;
   dr_steps : int;
@@ -21,20 +20,15 @@ type result = {
   stats : Stats.t;
   wall_seconds : float;
   jobs : int;
-  rounds : int;
   steals : int;
   actual_steps : int array;
   merged_summaries : int;
   unique_summaries : int;
-  base_hits : int;
-  base_misses : int;
-  base_evictions : int;
-  base_size : int;
 }
 
-(* How a DYNSUM worker hands back the summaries it computed itself. A
-   published round sends a snapshot, for the tier. An unpublished round
-   on several domains sends only their keys, because domains overlap and
+(* How a DYNSUM worker hands back the summaries it computed itself. With
+   a caller tier it sends a snapshot, for the tier. Without one, several
+   domains send only their keys, because domains overlap and
    [unique_summaries] must count each key once. One domain sends
    nothing: one engine never derives a key twice. *)
 type export =
@@ -42,7 +36,7 @@ type export =
   | Keys of (int * int list * int) list
   | Nothing
 
-(* What one domain hands back from one round. Everything in here is
+(* What one domain hands back from the batch. Everything in here is
    either immutable, or mutable state the worker stops touching before
    [Domain.join] (which is the happens-before edge the main domain reads
    it under). Field stacks inside [wr_outcomes] are hash-consed in the
@@ -86,7 +80,7 @@ let rebase_outcome = function
 
 (* A worker owns [deques.(self)] (ownership transferred by the main
    domain across [Domain.spawn]) and steals from the fullest peer once
-   its own deque runs dry. Tasks are only ever seeded before the round
+   its own deque runs dry. Tasks are only ever seeded before the batch
    starts, so "every deque empty" is a stable termination condition —
    [Wsdeque.steal] returning [None] on a lost race just sends the thief
    back to rescan. *)
@@ -152,10 +146,8 @@ let run_worker ~conf ~trace_writer ~engine_name ~pag ~base ~export ~deques ~self
     wr_export = Option.map export dyn;
   }
 
-let run ?(conf = Conf.default) ?trace_writer ?(jobs = 1) ?(rounds = 1) ?base
-    ~engine:engine_name pag queries =
+let run ?(conf = Conf.default) ?trace_writer ?(jobs = 1) ?base ~engine:engine_name pag queries =
   if jobs < 1 then invalid_arg "Parsolve.run: jobs must be >= 1";
-  if rounds < 1 then invalid_arg "Parsolve.run: rounds must be >= 1";
   (match Engine.find engine_name with
   | Some _ -> ()
   | None ->
@@ -166,131 +158,100 @@ let run ?(conf = Conf.default) ?trace_writer ?(jobs = 1) ?(rounds = 1) ?base
      overlay, if any, is only written by [Pag.apply_edits] between
      batches — never concurrently with a run. [View.slab] raises before
      [freeze], turning a data race on the build side into an immediate
-     error. By default the shared base tier below lives within this one
-     call, so an edit between calls can never feed it a stale summary; a
-     caller passing [?base] owns that invariant instead — the serve
-     daemon keeps one tier across requests and runs
+     error. A caller passing [?base] owns the tier's freshness — the
+     serve daemon keeps one tier across requests and runs
      [Dynsum.base_invalidate] on every edit commit. *)
   ignore (Pag.View.slab pag Pag.View.new_in);
   let n = Array.length queries in
   let outcomes = Array.make n Query.Exceeded in
   let actual_steps = Array.make n 0 in
   let agg_stats = Stats.create () in
-  let reports = ref [] in
-  (* Shared summary tiers. [base] holds every summary any domain has
-     computed in a {e finished, published} round, read by reference from
-     all workers of later rounds (grown only here, between joins).
-     Export is on demand: a round is published only when something will
-     read it — a later round of this call, or a tier the caller keeps —
-     and likewise the internal tier exists only when a later round will
-     read it, so a one-round call probes no empty table on every miss.
-     [unique] counts fresh tier insertions and one engine's own
-     summaries; [seen] holds the distinct keys of an unpublished last
-     round on several domains. *)
-  let rounds = min rounds (max n 1) in
-  let caller_tier = Option.is_some base in
-  let base =
-    match base with
-    | Some _ as b -> if engine_name = "dynsum" then b else None
-    | None -> if engine_name = "dynsum" && rounds > 1 then Some (Dynsum.base_create ()) else None
+  (* The caller's tier, if any, is the only shared summary store:
+     workers read it by reference and the main domain grows it after
+     they join. *)
+  let base = if engine_name = "dynsum" then base else None in
+  (* the worker builds its export, so several domains build theirs in
+     parallel *)
+  let export d =
+    if Option.is_some base then Snapshot (Dynsum.snapshot d)
+    else if jobs > 1 then Keys (Dynsum.new_summary_keys d)
+    else Nothing
   in
-  let produced = ref 0 in
-  let unique = ref 0 in
+  (* [unique] counts fresh tier insertions and one engine's own
+     summaries; [seen] holds the distinct keys several domains derived
+     without a tier. *)
+  let produced = ref 0 and unique = ref 0 in
   let seen = Hashtbl.create 64 in
-  let total_steals = ref 0 in
-  let (), wall_seconds =
+  let results, wall_seconds =
     Stats.time (fun () ->
-        for round = 0 to rounds - 1 do
-          (* consecutive index chunk per round (batch arrival order) *)
-          let lo = round * n / rounds and hi = (round + 1) * n / rounds in
-          (* split the round into [jobs] contiguous blocks in arrival
-             order, and push each block last-first so its owner pops it
-             in index order (one domain answers exactly as a sequential
-             loop would) while thieves lift the block's tail.
-             Neighbouring queries share summaries, so blocks beat
-             round-robin dealing at jobs 2 (EXPERIMENTS.md, "One batch
-             schedule"). *)
-          let shares = Array.make jobs [] in
-          for i = lo to hi - 1 do
-            let d = (i - lo) * jobs / (hi - lo) in
-            shares.(d) <- (i, queries.(i)) :: shares.(d)
-          done;
-          let deques =
-            Array.map
-              (fun share ->
-                let dq = Wsdeque.create ~capacity:(max 16 (List.length share + 1)) () in
-                List.iter (fun t -> Wsdeque.push dq t) share;
-                dq)
-              shares
-          in
-          (* the worker builds its export, so several domains build
-             theirs in parallel *)
-          let export d =
-            if round < rounds - 1 || caller_tier then Snapshot (Dynsum.snapshot d)
-            else if jobs > 1 then Keys (Dynsum.new_summary_keys d)
-            else Nothing
-          in
-          let work d =
-            run_worker ~conf ~trace_writer ~engine_name ~pag ~base ~export ~deques ~self:d
-          in
-          let results =
-            if jobs = 1 then [| work 0 () |]
-            else Array.map Domain.join (Array.init jobs (fun d -> Domain.spawn (work d)))
-          in
-          Array.iteri
-            (fun d wr ->
-              List.iter
-                (fun (i, o, steps) ->
-                  (* jobs = 1 ran inline: its stacks are already ours *)
-                  outcomes.(i) <- (if jobs = 1 then o else rebase_outcome o);
-                  actual_steps.(i) <- steps)
-                wr.wr_outcomes;
-              Stats.merge_into ~into:agg_stats wr.wr_stats;
-              total_steals := !total_steals + wr.wr_steals;
-              reports :=
-                {
-                  dr_round = round;
-                  dr_domain = d;
-                  dr_queries = List.length wr.wr_outcomes;
-                  dr_steps = wr.wr_steps;
-                  dr_seconds = wr.wr_seconds;
-                  dr_summaries = wr.wr_summaries;
-                  dr_steals = wr.wr_steals;
-                }
-                :: !reports)
-            results;
-          Array.iter
-            (fun wr ->
-              match wr.wr_export with
-              | None -> ()
-              | Some ex -> (
-                produced := !produced + wr.wr_summaries;
-                match ex with
-                | Snapshot s -> Option.iter (fun b -> unique := !unique + Dynsum.base_add b s) base
-                | Keys ks -> List.iter (fun k -> Hashtbl.replace seen k ()) ks
-                | Nothing -> unique := !unique + wr.wr_summaries))
-            results
-        done)
+        (* split the batch into [jobs] contiguous blocks in arrival
+           order, and push each block last-first so its owner pops it in
+           index order (one domain answers exactly as a sequential loop
+           would) while thieves lift the block's tail. Neighbouring
+           queries share summaries, so blocks beat round-robin dealing
+           at jobs 2 (EXPERIMENTS.md, "One batch schedule"). *)
+        let shares = Array.make jobs [] in
+        for i = 0 to n - 1 do
+          let d = i * jobs / n in
+          shares.(d) <- (i, queries.(i)) :: shares.(d)
+        done;
+        let deques =
+          Array.map
+            (fun share ->
+              let dq = Wsdeque.create ~capacity:(max 16 (List.length share + 1)) () in
+              List.iter (fun t -> Wsdeque.push dq t) share;
+              dq)
+            shares
+        in
+        let work d =
+          run_worker ~conf ~trace_writer ~engine_name ~pag ~base ~export ~deques ~self:d
+        in
+        let results =
+          if jobs = 1 then [| work 0 () |]
+          else Array.map Domain.join (Array.init jobs (fun d -> Domain.spawn (work d)))
+        in
+        Array.iter
+          (fun wr ->
+            List.iter
+              (fun (i, o, steps) ->
+                (* jobs = 1 ran inline: its stacks are already ours *)
+                outcomes.(i) <- (if jobs = 1 then o else rebase_outcome o);
+                actual_steps.(i) <- steps)
+              wr.wr_outcomes;
+            Stats.merge_into ~into:agg_stats wr.wr_stats;
+            match wr.wr_export with
+            | None -> ()
+            | Some ex -> (
+              produced := !produced + wr.wr_summaries;
+              match ex with
+              | Snapshot s -> Option.iter (fun b -> unique := !unique + Dynsum.base_add b s) base
+              | Keys ks -> List.iter (fun k -> Hashtbl.replace seen k ()) ks
+              | Nothing -> unique := !unique + wr.wr_summaries))
+          results;
+        results)
   in
-  if !total_steals > 0 then Stats.add agg_stats "steals" !total_steals;
-  let base_hits, base_misses, base_evictions, base_size =
-    match base with
-    | None -> (0, 0, 0, 0)
-    | Some b -> (Dynsum.base_hits b, Dynsum.base_misses b, Dynsum.base_evictions b, Dynsum.base_length b)
-  in
+  let steals = Array.fold_left (fun acc wr -> acc + wr.wr_steals) 0 results in
+  if steals > 0 then Stats.add agg_stats "steals" steals;
   {
     outcomes;
-    reports = List.rev !reports;
+    reports =
+      Array.to_list
+        (Array.mapi
+           (fun d wr ->
+             {
+               dr_domain = d;
+               dr_queries = List.length wr.wr_outcomes;
+               dr_steps = wr.wr_steps;
+               dr_seconds = wr.wr_seconds;
+               dr_summaries = wr.wr_summaries;
+               dr_steals = wr.wr_steals;
+             })
+           results);
     stats = agg_stats;
     wall_seconds;
     jobs;
-    rounds;
-    steals = !total_steals;
+    steals;
     actual_steps;
     merged_summaries = !produced;
     unique_summaries = !unique + Hashtbl.length seen;
-    base_hits;
-    base_misses;
-    base_evictions;
-    base_size;
   }

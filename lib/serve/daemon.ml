@@ -8,7 +8,6 @@ let clients = Pts_clients.Queryset.all
 
 type config = {
   c_jobs : int;
-  c_rounds : int;
   c_budget : int;
   c_max_budget : int;
   c_base_capacity : int;
@@ -20,7 +19,6 @@ type config = {
 let default_config =
   {
     c_jobs = 1;
-    c_rounds = 1;
     c_budget = Conf.default.Conf.budget_limit;
     c_max_budget = 0;
     c_base_capacity = 0;
@@ -142,8 +140,7 @@ let run_query t ~client ~engine ~budget =
       (List.map (fun q -> Parsolve.query ~satisfy:q.Client.q_pred q.Client.q_node) queries)
   in
   let r =
-    Parsolve.run ~conf ~jobs:t.cfg.c_jobs ~rounds:t.cfg.c_rounds ~base:t.base ~engine
-      t.pl.Pipeline.pag qarr
+    Parsolve.run ~conf ~jobs:t.cfg.c_jobs ~base:t.base ~engine t.pl.Pipeline.pag qarr
   in
   let verdicts =
     List.mapi (fun i q -> (q, Client.verdict_of q.Client.q_pred r.Parsolve.outcomes.(i))) queries
@@ -178,7 +175,6 @@ let run_check t ~names ~engine ~budget =
       Check.o_engine = engine;
       o_conf = Engine.conf ~budget_limit ();
       o_jobs = t.cfg.c_jobs;
-      o_rounds = t.cfg.c_rounds;
       o_base = Some t.base;
     }
   in

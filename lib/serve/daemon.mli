@@ -16,7 +16,6 @@
 
 type config = {
   c_jobs : int;  (** {!Parsolve} worker domains per request *)
-  c_rounds : int;
   c_budget : int;  (** default per-query step budget *)
   c_max_budget : int;  (** per-request budget ceiling; 0 = no ceiling *)
   c_base_capacity : int;  (** cross-request tier entries; 0 = unbounded *)
@@ -29,7 +28,7 @@ type config = {
 }
 
 val default_config : config
-(** jobs 1, rounds 1, budget {!Conf.default}, no ceilings,
+(** jobs 1, budget {!Conf.default}, no ceilings,
     queue capacity 64, pipeline window 1. *)
 
 val clients : (string * (string * (Pts_clients.Pipeline.t -> Pts_clients.Client.query list))) list

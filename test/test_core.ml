@@ -463,6 +463,33 @@ let test_dynsum_cache_truncated_file () =
       ignore (Dynsum.points_to d (List.hd queries).Pts_clients.Client.q_node);
       check Alcotest.bool "tier still hit" true (Dynsum.base_hits victim > 0))
 
+(* A file with its real header and keys but out-of-range payloads —
+   an allocation site and a frontier node past the PAG — decodes
+   cleanly, so only the range check stands between it and an engine
+   indexing out of bounds. *)
+type image = int * int list * int * int list * (int * int list * int) list * int list
+
+let test_dynsum_cache_out_of_range_payload () =
+  let pl = Pts_workload.Suite.pipeline "jack" in
+  let pag = pl.Pts_clients.Pipeline.pag in
+  let warm, _ = tier_after pag (Pts_clients.Safecast.queries pl) in
+  with_cache_file (fun path ->
+      Dynsum.save_base warm pag path;
+      let magic, fp, ghash, epoch, (images : image list) =
+        (In_channel.with_open_bin path Marshal.from_channel
+          : string * (int * int * int * int * int * int * int * int) * int * int * image list)
+      in
+      check Alcotest.bool "tier saved" true (images <> []);
+      let bad =
+        List.map
+          (fun (n, syms, st, _, _, fp) -> (n, syms, st, [ 99999 ], [ (88888888, [], 1) ], fp))
+          images
+      in
+      Out_channel.with_open_bin path (fun oc ->
+          Marshal.to_channel oc (magic, fp, ghash, epoch, bad) []);
+      let victim, _ = tier_after pag [ List.hd (Pts_clients.Safecast.queries pl) ] in
+      check_refused "out-of-range payload" victim pag path)
+
 let test_dynsum_cache_fingerprint_no_mutation () =
   (* the fingerprint-mismatch refusal must also leave the target tier
      alone *)
@@ -639,6 +666,8 @@ let () =
           Alcotest.test_case "corrupt cache file" `Quick test_dynsum_cache_corrupt_file;
           Alcotest.test_case "missing cache file" `Quick test_dynsum_cache_missing_file;
           Alcotest.test_case "truncated cache file" `Quick test_dynsum_cache_truncated_file;
+          Alcotest.test_case "out-of-range cache payload" `Quick
+            test_dynsum_cache_out_of_range_payload;
           Alcotest.test_case "fingerprint mismatch is atomic" `Quick
             test_dynsum_cache_fingerprint_no_mutation;
         ] );

@@ -83,7 +83,7 @@ let verdicts_par pl engine_name jobs (queries : Genpair.query_spec list) =
            Parsolve.query ~satisfy:(mono_pred prog) (Pipeline.find_local_any pl ~var:q.Genpair.q_var))
          queries)
   in
-  let r = Parsolve.run ~conf ~jobs ~rounds:1 ~engine:engine_name pl.Pipeline.pag qarr in
+  let r = Parsolve.run ~conf ~jobs ~engine:engine_name pl.Pipeline.pag qarr in
   Array.to_list (Array.map (Client.verdict_of (mono_pred prog)) r.Parsolve.outcomes)
 
 let test_pair_par name () =

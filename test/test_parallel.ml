@@ -1,5 +1,5 @@
 (* Determinism and equivalence of the parallel batch scheduler (Parsolve):
-   sharding a batch across domains, at any jobs/rounds setting, must
+   sharding a batch across domains, at any jobs setting, must
    return exactly the sequential engine's answers; merging per-domain
    DYNSUM caches must never change an answer; traces written through the
    shared writer must interleave whole lines only.
@@ -46,28 +46,15 @@ let test_engine_jobs_equal engine_name () =
         expected)
     [ 1; 2; 4 ]
 
-let test_rounds_equal () =
-  let pl = Lazy.force pl in
-  let seq = Engine.create ~conf "dynsum" pl.Pipeline.pag in
-  let expected =
-    List.map (fun q -> seq.Engine.points_to q.Client.q_node) (Lazy.force queries)
-  in
-  let r = Parsolve.run ~conf ~jobs:2 ~rounds:3 ~engine:"dynsum" pl.Pipeline.pag (qarr ()) in
-  Alcotest.(check bool) "summaries were merged" true (r.Parsolve.merged_summaries > 0);
-  Alcotest.(check int) "one report per (round, domain)" 6 (List.length r.Parsolve.reports);
-  List.iteri
-    (fun i expect ->
-      if not (Query.equal_outcome expect r.Parsolve.outcomes.(i)) then
-        Alcotest.failf "dynsum: query %d differs from sequential at jobs=2 rounds=3" i)
-    expected
-
 (* ----------------------- scheduler accounting ----------------------------- *)
 
 let test_steal_accounting () =
   let pl = Lazy.force pl in
   let n = Array.length (qarr ()) in
-  let r = Parsolve.run ~conf ~jobs:4 ~rounds:2 ~engine:"dynsum" pl.Pipeline.pag (qarr ()) in
+  let r = Parsolve.run ~conf ~jobs:4 ~engine:"dynsum" pl.Pipeline.pag (qarr ()) in
   Alcotest.(check int) "one actual cost per query" n (Array.length r.Parsolve.actual_steps);
+  Alcotest.(check (list int)) "one report per domain" [ 0; 1; 2; 3 ]
+    (List.map (fun d -> d.Parsolve.dr_domain) r.Parsolve.reports);
   let report_steals =
     List.fold_left (fun acc d -> acc + d.Parsolve.dr_steals) 0 r.Parsolve.reports
   in
@@ -136,7 +123,7 @@ let test_snapshot_union_is_idempotent () =
   Alcotest.(check int) "re-adding adds nothing" 0 (Dynsum.base_add tier s + Dynsum.base_add tier s);
   Alcotest.(check int) "tier holds one copy" n (Dynsum.base_length tier)
 
-(* --------------- export matrix: published and unpublished rounds ----------- *)
+(* ------------------ export matrix: caller tier or none -------------------- *)
 
 (* The bytes [Dynsum.save_base] writes for a tier. Saved tiers are
    sorted and base-tier memos are never exported, so the bytes must not
@@ -154,10 +141,10 @@ let tier_of engines =
   List.iter (fun d -> ignore (Dynsum.base_add tier (Dynsum.snapshot d))) engines;
   tier
 
-(* Every (jobs, rounds, tier) cell must agree with one sequential DYNSUM
-   engine: same outcomes and as many distinct summaries. A caller-owned
-   tier is exported every round, so it must end up holding exactly the
-   sequential engine's summaries, and save to its bytes. *)
+(* Every (jobs, tier) cell must agree with one sequential DYNSUM engine:
+   same outcomes and as many distinct summaries. A caller-owned tier
+   receives every worker's snapshot, so it must end up holding exactly
+   the sequential engine's summaries, and save to its bytes. *)
 let sequential =
   lazy
     (let pl = Lazy.force pl in
@@ -172,28 +159,21 @@ let check_outcomes expected r =
         Alcotest.failf "query %d differs from sequential" i)
     expected
 
-let test_export_cell ~jobs ~rounds ~caller_tier () =
+let test_export_cell ~jobs ~caller_tier () =
   let pl = Lazy.force pl in
   let expected, seq_summaries, seq_bytes = Lazy.force sequential in
   let tier = if caller_tier then Some (Dynsum.base_create ~capacity:0 ()) else None in
-  let r =
-    Parsolve.run ~conf ~jobs ~rounds ?base:tier ~engine:"dynsum" pl.Pipeline.pag (qarr ())
-  in
+  let r = Parsolve.run ~conf ~jobs ?base:tier ~engine:"dynsum" pl.Pipeline.pag (qarr ()) in
   check_outcomes expected r;
   Alcotest.(check bool) "summaries were derived" true (r.Parsolve.merged_summaries > 0);
   Alcotest.(check int) "unique = sequential summaries" seq_summaries r.Parsolve.unique_summaries;
   Alcotest.(check bool) "unique <= merged" true
     (r.Parsolve.unique_summaries <= r.Parsolve.merged_summaries);
   match tier with
-  | None ->
-    if rounds = 1 then
-      Alcotest.(check int) "one round publishes nothing to the internal tier" 0
-        r.Parsolve.base_size
+  | None -> ()
   | Some b ->
     Alcotest.(check int) "caller tier grew by unique" r.Parsolve.unique_summaries
       (Dynsum.base_length b);
-    Alcotest.(check int) "base_size reports the caller tier" (Dynsum.base_length b)
-      r.Parsolve.base_size;
     Alcotest.(check bool) "tier bytes = sequential saved bytes" true
       (String.equal seq_bytes (save_bytes b))
 
@@ -222,10 +202,10 @@ let test_cache_round_trip_jobs2 () =
       Alcotest.(check bool) "both runs save the sequential bytes" true
         (String.equal seq_bytes (save_bytes first) && String.equal seq_bytes (save_bytes second)))
 
-(* With no caller tier and no later round, nothing would read an internal
-   tier, so none is built: no miss probes an empty table, and the run
-   misses exactly the summaries one sequential engine misses. *)
-let test_one_round_builds_no_tier () =
+(* With no caller tier there is no tier at all: no miss probes an empty
+   table, and the run misses exactly the summaries one sequential engine
+   misses. *)
+let test_no_caller_tier_no_tier () =
   let pl = Lazy.force pl in
   let expected, _, _ = Lazy.force sequential in
   let d = Dynsum.create ~conf pl.Pipeline.pag in
@@ -236,29 +216,24 @@ let test_one_round_builds_no_tier () =
       if not (Query.equal_outcome expect r.Parsolve.outcomes.(i)) then
         Alcotest.failf "query %d differs from sequential" i)
     expected;
-  Alcotest.(check int) "base_hits" 0 r.Parsolve.base_hits;
-  Alcotest.(check int) "base_misses" 0 r.Parsolve.base_misses;
-  Alcotest.(check int) "base_size" 0 r.Parsolve.base_size;
+  let counters = List.map fst (Pts_util.Stats.to_list r.Parsolve.stats) in
+  Alcotest.(check bool) "no base_hits counter" false (List.mem "base_hits" counters);
+  Alcotest.(check bool) "no base_misses counter" false (List.mem "base_misses" counters);
   let misses s = Pts_util.Stats.get s "summary_misses" in
   Alcotest.(check bool) "summaries were missed" true (misses r.Parsolve.stats > 0);
   Alcotest.(check int) "summary_misses = sequential" (misses (Dynsum.stats d))
     (misses r.Parsolve.stats)
 
-(* cell names carry "steal", the one scheduling policy *)
 let export_matrix =
   List.concat_map
     (fun jobs ->
-      List.concat_map
-        (fun rounds ->
-          List.map
-            (fun caller_tier ->
-              Alcotest.test_case
-                (Printf.sprintf "jobs=%d rounds=%d steal %s" jobs rounds
-                   (if caller_tier then "caller tier" else "internal tier"))
-                `Quick
-                (test_export_cell ~jobs ~rounds ~caller_tier))
-            [ false; true ])
-        [ 1; 2 ])
+      List.map
+        (fun caller_tier ->
+          Alcotest.test_case
+            (Printf.sprintf "jobs=%d %s" jobs (if caller_tier then "caller tier" else "no tier"))
+            `Quick
+            (test_export_cell ~jobs ~caller_tier))
+        [ false; true ])
     [ 1; 2; 4 ]
 
 (* ------------------------ snapshot order is [compare] ---------------------- *)
@@ -345,9 +320,6 @@ let test_run_validations () =
   Alcotest.check_raises "jobs must be positive"
     (Invalid_argument "Parsolve.run: jobs must be >= 1") (fun () ->
       ignore (Parsolve.run ~jobs:0 ~engine:"dynsum" pl.Pipeline.pag [||]));
-  Alcotest.check_raises "rounds must be positive"
-    (Invalid_argument "Parsolve.run: rounds must be >= 1") (fun () ->
-      ignore (Parsolve.run ~rounds:0 ~engine:"dynsum" pl.Pipeline.pag [||]));
   (match Parsolve.run ~engine:"nosuch" pl.Pipeline.pag [||] with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "unknown engine accepted");
@@ -363,8 +335,7 @@ let () =
         List.map
           (fun name ->
             Alcotest.test_case (name ^ " jobs 1/2/4") `Quick (test_engine_jobs_equal name))
-          (Engine.names ())
-        @ [ Alcotest.test_case "dynsum jobs=2 rounds=3" `Quick test_rounds_equal ] );
+          (Engine.names ()) );
       ( "scheduler",
         [
           Alcotest.test_case "steal accounting" `Quick test_steal_accounting;
@@ -375,7 +346,7 @@ let () =
           Alcotest.test_case "merge preserves answers" `Quick test_snapshot_merge_preserves_answers;
           Alcotest.test_case "union idempotent" `Quick test_snapshot_union_is_idempotent;
           Alcotest.test_case "order is compare" `Quick test_snapshot_order_is_compare;
-          Alcotest.test_case "one round builds no tier" `Quick test_one_round_builds_no_tier;
+          Alcotest.test_case "no caller tier, no tier" `Quick test_no_caller_tier_no_tier;
         ] );
       ("export", export_matrix);
       ( "persistence",

@@ -97,7 +97,7 @@ let test_multi_thief () =
   Alcotest.(check int) "deque drained" 0 (Wsdeque.size q)
 
 (* owner pushing concurrently with thieves: the scheduler never does
-   this mid-round, but the deque must not lose elements if it ever does *)
+   this mid-batch, but the deque must not lose elements if it ever does *)
 let test_push_race () =
   let n = 5_000 in
   let q = Wsdeque.create ~capacity:2 () in
