@@ -164,7 +164,7 @@ let table1 () =
         Printf.printf "%-4d %-28s %-14s %-3s %s\n" !step (Pag.node_name pag u) (pp_stack f)
           (match s with Ppta.S1 -> "S1" | Ppta.S2 -> "S2")
           (if reused then "reused" else "computed");
-      if not (Pag.has_local_edges pag u) then { Ppta.objs = []; tuples = [ (u, f, s) ] }
+      if not (Pag.has_local_edges pag u) then Ppta.frontier_only u f s
       else
         match Hashtbl.find_opt cache key with
         | Some summary -> summary
@@ -926,7 +926,6 @@ let run_parallel_bench ~artefact ~bench ~jobs_list ?(repeat = 1) () =
         ("steals", Table.Right);
         ("imbalance", Table.Right);
         ("derived", Table.Right);
-        ("unique", Table.Right);
         ("speedup vs jobs=1", Table.Right);
         ("set-equal", Table.Left);
       ]
@@ -972,7 +971,6 @@ let run_parallel_bench ~artefact ~bench ~jobs_list ?(repeat = 1) () =
           ("steals", Bm.Json.Int r.Parsolve.steals);
           ("queue_imbalance", Bm.Json.Float imbalance);
           ("merged_summaries", Bm.Json.Int r.Parsolve.merged_summaries);
-          ("unique_summaries", Bm.Json.Int r.Parsolve.unique_summaries);
           ("speedup_vs_jobs1", Bm.Json.Float speedup);
           ("set_equal_vs_first", Bm.Json.Bool equal);
           ("recommended_domains", Bm.Json.Int (Domain.recommended_domain_count ()));
@@ -999,7 +997,6 @@ let run_parallel_bench ~artefact ~bench ~jobs_list ?(repeat = 1) () =
           string_of_int r.Parsolve.steals;
           Printf.sprintf "%.2f" imbalance;
           string_of_int r.Parsolve.merged_summaries;
-          string_of_int r.Parsolve.unique_summaries;
           Table.fmt_speedup speedup;
           (if equal then "yes" else "NO");
         ])
@@ -1007,8 +1004,7 @@ let run_parallel_bench ~artefact ~bench ~jobs_list ?(repeat = 1) () =
   Table.print t;
   Printf.printf
     "(wall-clock speedup tracks the machine's core count — %d domain(s) recommended here;\n\
-    \ 'derived' counts every summary computed in some domain, 'unique' the distinct keys:\n\
-    \ their gap is the cross-domain recomputation)\n"
+    \ 'derived' counts every summary computed in some domain)\n"
     (Domain.recommended_domain_count ());
   Bm.flush artefact
     ~note:
@@ -1676,6 +1672,7 @@ let kernel () =
           ("steps", Bm.Json.Int steps);
           ("minor_words", Bm.Json.Float minor);
           ("promoted_words", Bm.Json.Float promoted);
+          ("words_per_step", Bm.Json.Float (minor /. float_of_int (max 1 steps)));
           ("seconds", Bm.Json.Float wall);
           ("msteps_per_s", Bm.Json.Float msteps);
         ])

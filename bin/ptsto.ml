@@ -253,9 +253,9 @@ let client_cmd lang file bench client_key engine_name budget cache_file trace me
       in
       let tally = Client.tally_of verdicts in
       Printf.printf
-        "%s with %s: %d queries in %.3fs (%d steps, %d jobs, %d steals, %d unique summaries)\n"
+        "%s with %s: %d queries in %.3fs (%d steps, %d jobs, %d steals)\n"
         cname engine_name (Array.length qarr) r.Parsolve.wall_seconds steps r.Parsolve.jobs
-        r.Parsolve.steals r.Parsolve.unique_summaries;
+        r.Parsolve.steals;
       Format.printf "  %a@." Client.pp_tally tally;
       List.iter
         (fun d ->
@@ -283,7 +283,7 @@ let client_cmd lang file bench client_key engine_name budget cache_file trace me
           (to_string
              (Obj
                 [
-                  ("schema", String "ptsto.parallel-metrics/5");
+                  ("schema", String "ptsto.parallel-metrics/6");
                   ("engine", String engine_name);
                   ("jobs", Int r.Parsolve.jobs);
                   ("recommended_domains", Int (Domain.recommended_domain_count ()));
@@ -292,7 +292,6 @@ let client_cmd lang file bench client_key engine_name budget cache_file trace me
                   ("wall_seconds", Float r.Parsolve.wall_seconds);
                   ("steals", Int r.Parsolve.steals);
                   ("merged_summaries", Int r.Parsolve.merged_summaries);
-                  ("unique_summaries", Int r.Parsolve.unique_summaries);
                   ( "domains",
                     List
                       (List.map

@@ -34,7 +34,7 @@ end)
 type base_entry = {
   be_objs : int list;
   be_tuples : (int * int list * int) list;
-  be_fp : int list; (* derivation footprint, for targeted invalidation *)
+  be_fp : Footprint.t; (* derivation footprint, for targeted invalidation *)
   mutable be_ref : bool; (* second-chance clock bit, set on every hit *)
   (* One-slot memo of the rematerialised summary, tagged with the domain
      that built it. Hstack ids are domain-local, so a consumer only
@@ -63,7 +63,6 @@ type t = {
   sink : Trace.sink;
   cache : Ppta.summary Cache.t;
   key_stacks : Pts_util.Hstack.t Cache.t; (* key -> its field stack, for persistence *)
-  footprints : int list Cache.t; (* key -> PAG nodes its derivation visited *)
   mutable base : base option; (* shared lower tier; overlay = cache above it *)
 }
 
@@ -79,7 +78,6 @@ let create ?(conf = Conf.default) ?(trace = Trace.null) pag =
     sink = Trace.tee (Trace.counting stats) trace;
     cache = Cache.create 4096;
     key_stacks = Cache.create 4096;
-    footprints = Cache.create 4096;
     base = None;
   }
 
@@ -94,8 +92,7 @@ let summary_points t =
 
 let clear_cache t =
   Cache.reset t.cache;
-  Cache.reset t.key_stacks;
-  Cache.reset t.footprints
+  Cache.reset t.key_stacks
 
 let budget t = t.budget
 let stats t = t.stats
@@ -103,11 +100,15 @@ let stats t = t.stats
 (* ------------------------- cache persistence ------------------------ *)
 
 (* Structural image of one cache entry: hash-cons ids are process-local,
-   so stacks travel as symbol lists. The trailing list is the derivation
+   so stacks travel as symbol lists. The trailing field is the derivation
    footprint — the PAG nodes the PPTA run visited — which targeted
-   invalidation intersects against the dirty set of an edit burst. *)
+   invalidation intersects against the dirty set of an edit burst. In
+   memory it is the summary's own {!Footprint.t}; the file spells it out
+   as the ascending node list ([file_image]). *)
 type entry_image =
-  int * int list * int * int list * (int * int list * int) list * int list
+  int * int list * int * int list * (int * int list * int) list * Footprint.t
+
+type file_image = int * int list * int * int list * (int * int list * int) list * int list
 
 let magic = "ptsto-dynsum-cache-v2"
 
@@ -136,7 +137,7 @@ let rec compare_syms a b =
   | _ :: _, [] -> 1
   | x :: a', y :: b' -> ( match Int.compare x y with 0 -> compare_syms a' b' | c -> c)
 
-let compare_image ((n1, s1, st1, _, _, _) : entry_image) ((n2, s2, st2, _, _, _) : entry_image) =
+let compare_image (n1, s1, st1, _, _, _) (n2, s2, st2, _, _, _) =
   match Int.compare n1 n2 with
   | 0 -> ( match compare_syms s1 s2 with 0 -> Int.compare st1 st2 | c -> c)
   | c -> c
@@ -147,7 +148,7 @@ let compare_image ((n1, s1, st1, _, _, _) : entry_image) ((n2, s2, st2, _, _, _)
    tier — are deliberately skipped: a snapshot carries only summaries
    this engine computed itself. Sorted so the marshalled bytes don't
    depend on insertion (and hence scheduling) order. *)
-let snapshot_tables cache key_stacks footprints : snapshot =
+let snapshot_tables cache key_stacks : snapshot =
   let images = ref [] in
   Cache.iter
     (fun ((node, _fid, state) as key) summary ->
@@ -159,19 +160,14 @@ let snapshot_tables cache key_stacks footprints : snapshot =
             (fun (n, f, s) -> (n, Hstack.to_list f, Ppta.state_to_int s))
             summary.Ppta.tuples
         in
-        let fp = Option.value ~default:[] (Cache.find_opt footprints key) in
         images :=
-          ((node, Hstack.to_list stack, state, summary.Ppta.objs, tuples, fp) : entry_image)
+          ((node, Hstack.to_list stack, state, summary.Ppta.objs, tuples, summary.Ppta.fp)
+            : entry_image)
           :: !images)
     cache;
   List.sort compare_image !images
 
-let snapshot t = snapshot_tables t.cache t.key_stacks t.footprints
-
-let new_summary_keys t =
-  Cache.fold
-    (fun (node, _fid, state) stack acc -> (node, Hstack.to_list stack, state) :: acc)
-    t.key_stacks []
+let snapshot t = snapshot_tables t.cache t.key_stacks
 
 let state_of_int = function 1 -> Ppta.S1 | _ -> Ppta.S2
 
@@ -253,7 +249,7 @@ let base_compact_ring (b : base) =
 (* Runs on the owning thread between requests, never concurrently with
    readers. *)
 let base_invalidate (b : base) dirty =
-  let stale = Ppta.stale dirty in
+  let stale = Footprint.stale dirty in
   let doomed = ref [] in
   Base_tbl.iter (fun key e -> if stale e.be_fp then doomed := key :: !doomed) b.b_tbl;
   List.iter (Base_tbl.remove b.b_tbl) !doomed;
@@ -275,7 +271,8 @@ let save_base (b : base) pag path =
   let images =
     Base_tbl.fold
       (fun (node, syms, state) e acc ->
-        ((node, syms, state, e.be_objs, e.be_tuples, e.be_fp) : entry_image) :: acc)
+        ((node, syms, state, e.be_objs, e.be_tuples, Footprint.nodes e.be_fp) : file_image)
+        :: acc)
       b.b_tbl []
   in
   let oc = open_out_bin path in
@@ -290,7 +287,7 @@ let save_base (b : base) pag path =
    well-typed one can be checked: every node, state, site and stack
    symbol must be one this PAG can produce, or the first engine to read
    the entry indexes out of bounds. *)
-let images_in_range pag (images : snapshot) =
+let images_in_range pag (images : file_image list) =
   let nodes = Pag.node_count pag in
   let prog = Pag.program pag in
   let sites = Array.length prog.Ir.allocs in
@@ -299,7 +296,7 @@ let images_in_range pag (images : snapshot) =
   let state_ok st = st = Ppta.state_to_int Ppta.S1 || st = Ppta.state_to_int Ppta.S2 in
   let syms_ok = List.for_all (fun x -> x = Fstack.unknown_tail || (0 <= x && x < syms_bound)) in
   List.for_all
-    (fun ((node, syms, state, objs, tuples, fp) : entry_image) ->
+    (fun ((node, syms, state, objs, tuples, fp) : file_image) ->
       node_ok node && syms_ok syms && state_ok state
       && List.for_all (fun o -> 0 <= o && o < sites) objs
       && List.for_all (fun (n, f, st) -> node_ok n && syms_ok f && state_ok st) tuples
@@ -313,7 +310,7 @@ let load_base b pag path =
     Fun.protect
       ~finally:(fun () -> close_in_noerr ic)
       (fun () ->
-        match (Marshal.from_channel ic : string * 'a * int * int * snapshot) with
+        match (Marshal.from_channel ic : string * 'a * int * int * file_image list) with
         | exception _ -> Error "corrupt cache file"
         | file_magic, fp, ghash, _epoch, images ->
           if file_magic <> magic then Error "not a dynsum cache file"
@@ -325,7 +322,13 @@ let load_base b pag path =
                of the same program is refused here *)
             Error "cache was built for a different version of this PAG"
           else if not (images_in_range pag images) then Error "corrupt cache file"
-          else Ok (base_add b images))
+          else
+            Ok
+              (base_add b
+                 (List.map
+                    (fun (node, syms, state, objs, tuples, fp) ->
+                      (node, syms, state, objs, tuples, Footprint.of_nodes fp))
+                    images)))
 
 let no_local_event = Trace.Counter { engine = name; name = "no_local_fastpath"; delta = 1 }
 
@@ -334,7 +337,7 @@ let no_local_event = Trace.Counter { engine = name; name = "no_local_fastpath"; 
 let summarise t u f s =
   if not (Pag.has_local_edges t.pag u) then begin
     Trace.emit t.sink no_local_event;
-    { Ppta.objs = []; tuples = [ (u, f, s) ] }
+    Ppta.frontier_only u f s
   end
   else begin
     let key = (u, Hstack.id f, Ppta.state_to_int s) in
@@ -376,42 +379,34 @@ let summarise t u f s =
                 Ppta.objs;
                 tuples =
                   List.map (fun (tn, tf, ts) -> (tn, Hstack.of_list tf, state_of_int ts)) tuples;
+                fp;
               }
             in
             e.be_mat <- Some (did, s);
             s
         in
         Cache.add t.cache key summary;
-        Cache.add t.footprints key fp;
         summary
       | None ->
         Trace.emit t.sink (Trace.Summary_miss { engine = name; node = u });
-        (* the entry stays valid across an edit burst iff none of the
-           nodes its derivation visited got dirty *)
-        let summary, fp = Ppta.compute_with_footprint t.pag t.conf t.budget u f s in
+        let summary = Ppta.compute t.pag t.conf t.budget u f s in
         Cache.add t.cache key summary;
         Cache.add t.key_stacks key f;
-        Cache.add t.footprints key fp;
         summary)
   end
 
 (* ----------------------- targeted invalidation ---------------------- *)
 
-(* Drop exactly the entries the {!Ppta.stale} cut condemns. Entries
-   with no recorded footprint are dropped conservatively. *)
+(* Drop exactly the entries the {!Footprint.stale} cut condemns; the
+   footprint is the cached summary's own. *)
 let invalidate t dirty =
-  let stale = Ppta.stale dirty in
+  let stale = Footprint.stale dirty in
   let doomed = ref [] in
-  Cache.iter
-    (fun key _ ->
-      if stale (Option.value ~default:[] (Cache.find_opt t.footprints key)) then
-        doomed := key :: !doomed)
-    t.cache;
+  Cache.iter (fun key summary -> if stale summary.Ppta.fp then doomed := key :: !doomed) t.cache;
   List.iter
     (fun key ->
       Cache.remove t.cache key;
-      Cache.remove t.key_stacks key;
-      Cache.remove t.footprints key)
+      Cache.remove t.key_stacks key)
     !doomed;
   (List.length !doomed, Cache.length t.cache)
 

@@ -58,8 +58,9 @@ val clear_cache : t -> unit
 
 val invalidate : t -> Pag.node list -> int * int
 (** [invalidate t dirty] drops every cached summary that the
-    {!Ppta.stale} cut condemns for the dirty set of an edit burst
-    ({!Pag.commit}'s [c_dirty]); all other entries are provably
+    {!Footprint.stale} cut condemns for the dirty set of an edit burst
+    ({!Pag.commit}'s [c_dirty]), reading each footprint off the cached
+    summary ({!Ppta.summary}'s [fp]); all other entries are provably
     unaffected and survive. Returns [(dropped, retained)]. *)
 
 (** {2 Snapshots}
@@ -80,12 +81,6 @@ val snapshot : t -> snapshot
     exactly once. Sorted, so the order {!base_add} inserts (and later
     evicts) entries does not depend on insertion, hence scheduling,
     order. *)
-
-val new_summary_keys : t -> (int * int list * int) list
-(** The structural [(node, stack symbols, state)] key of every summary
-    this engine computed itself, in no particular order: what the
-    parallel scheduler deduplicates across domains when the caller
-    passed no tier. *)
 
 (** {2 Shared base tier}
 
@@ -124,7 +119,7 @@ val base_add : base -> snapshot -> int
     base (after a batch's workers join / between serve requests). *)
 
 val base_invalidate : base -> Pag.node list -> int * int
-(** [base_invalidate b dirty] drops every entry the {!Ppta.stale} cut
+(** [base_invalidate b dirty] drops every entry the {!Footprint.stale} cut
     condemns for the dirty set of an edit burst ({!Pag.commit}'s
     [c_dirty]), exactly like the per-engine {!invalidate}; all other
     entries provably still describe the edited graph and survive.
@@ -161,7 +156,10 @@ val new_summary_count : t -> int
     ([ptsto-dynsum-cache-v2]) holds a header — a fingerprint of the PAG
     (node and per-kind edge counts), its {!Pag.graph_hash} and epoch —
     and the tier's entries as one sorted structural snapshot, so its
-    bytes do not depend on the order the summaries arrived in. *)
+    bytes do not depend on the order the summaries arrived in. In the
+    file each entry's footprint is its ascending node list; in memory
+    (tier entries, snapshots, cached summaries) it is the bitmask
+    {!Footprint.t}, converted at {!save_base} and {!load_base}. *)
 
 val save_base : base -> Pag.t -> string -> unit
 (** Write the tier, built against [pag], to a file.

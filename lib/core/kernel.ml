@@ -111,7 +111,6 @@ type walk = {
   w_conf : Conf.t;
   w_budget : Budget.t;
   w_policy : policy;
-  w_observe : (Pag.node -> Hstack.t -> state -> unit) option;
   w_layout : State_key.layout;
   (* visited states as (state key, 0); harvested sites as (site, 1) and
      match-edge sites as (site, 2) *)
@@ -173,7 +172,6 @@ let rec go w v f s =
   if Pairset.add w.w_seen (State_key.pack w.w_layout ~node:v ~state:s ~id:(Hstack.id f)) 0
   then begin
     Budget.step w.w_budget;
-    (match w.w_observe with Some obs -> obs v f s | None -> ());
     let pag = w.w_pag in
     match s with
     | S1 ->
@@ -284,7 +282,9 @@ let layout_for sc pag =
   end;
   sc.sc_layout
 
-let local_walk ?observe ~policy pag conf budget v0 f0 s0 =
+(* Run one walk from [(v0, f0, s0)] and hand the finished walk to
+   [finish] while its visited set is still owned. *)
+let walk_from finish policy pag conf budget v0 f0 s0 =
   let sc = Domain.DLS.get scratch_key in
   let owned = not sc.sc_busy in
   let seen =
@@ -301,7 +301,6 @@ let local_walk ?observe ~policy pag conf budget v0 f0 s0 =
       w_conf = conf;
       w_budget = budget;
       w_policy = policy;
-      w_observe = observe;
       w_layout = layout_for sc pag;
       w_seen = seen;
       w_objs = [];
@@ -312,12 +311,34 @@ let local_walk ?observe ~policy pag conf budget v0 f0 s0 =
   in
   match go w v0 f0 s0 with
   | () ->
+    let r = finish w in
     if owned then sc.sc_busy <- false;
-    { lr_objs = w.w_objs; lr_match_objs = w.w_match_objs; lr_frontier = w.w_frontier;
-      lr_jumps = w.w_jumps }
+    r
   | exception e ->
     if owned then sc.sc_busy <- false;
     raise e
+
+let local_result_of_walk w =
+  { lr_objs = w.w_objs; lr_match_objs = w.w_match_objs; lr_frontier = w.w_frontier;
+    lr_jumps = w.w_jumps }
+
+let local_walk ~policy pag conf budget v0 f0 s0 =
+  walk_from local_result_of_walk policy pag conf budget v0 f0 s0
+
+type summary = {
+  objs : int list;
+  tuples : (Pag.node * Hstack.t * state) list;
+  fp : Footprint.t;
+}
+
+(* The footprint is read off the visited set, whose (state key, 0) pairs
+   hold the node in the key's low bits: nothing is recorded per state. *)
+let summary_of_walk w =
+  { objs = w.w_objs; tuples = w.w_frontier;
+    fp = Footprint.of_pairs w.w_seen ~snd:0 ~mask:((1 lsl State_key.node_bits w.w_layout) - 1) }
+
+let local_summary pag conf budget v0 f0 s0 =
+  walk_from summary_of_walk exact_policy pag conf budget v0 f0 s0
 
 (* ------------------------ Algorithm 4 worklist ---------------------- *)
 

@@ -113,14 +113,26 @@ val frontier_only : Pag.node -> Pts_util.Hstack.t -> state -> local_result
     itself as a frontier state. *)
 
 val local_walk :
-  ?observe:(Pag.node -> Pts_util.Hstack.t -> state -> unit) ->
   policy:policy ->
   Pag.t -> Conf.t -> Budget.t -> Pag.node -> Pts_util.Hstack.t -> state -> local_result
 (** One local-edge-only traversal from a query state. With {!exact_policy}
-    this is exactly Algorithm 3 (see {!Ppta.compute}, which wraps it).
-    Consumes budget per newly visited state; [observe] sees each one.
+    this is exactly Algorithm 3. Consumes budget per newly visited state.
     @raise Budget.Out_of_budget, in which case the partial result must
     not be cached. *)
+
+type summary = {
+  objs : int list;  (** sites reached with an empty stack, deduplicated *)
+  tuples : (Pag.node * Pts_util.Hstack.t * state) list;  (** frontier states *)
+  fp : Footprint.t;  (** the distinct nodes the walk visited *)
+}
+(** A PPTA summary; re-exported as {!Ppta.summary}. *)
+
+val local_summary :
+  Pag.t -> Conf.t -> Budget.t -> Pag.node -> Pts_util.Hstack.t -> state -> summary
+(** {!local_walk} under {!exact_policy} (Algorithm 3, see {!Ppta.compute}),
+    plus the walk's derivation footprint, read off its own visited set
+    when it returns. Only this walk pays for a footprint; {!local_walk}
+    builds none. @raise Budget.Out_of_budget as {!local_walk}. *)
 
 (** {2 The global-edge worklist (Algorithm 4)} *)
 

@@ -23,18 +23,7 @@ type result = {
   steals : int;
   actual_steps : int array;
   merged_summaries : int;
-  unique_summaries : int;
 }
-
-(* How a DYNSUM worker hands back the summaries it computed itself. With
-   a caller tier it sends a snapshot, for the tier. Without one, several
-   domains send only their keys, because domains overlap and
-   [unique_summaries] must count each key once. One domain sends
-   nothing: one engine never derives a key twice. *)
-type export =
-  | Snapshot of Dynsum.snapshot
-  | Keys of (int * int list * int) list
-  | Nothing
 
 (* What one domain hands back from the batch. Everything in here is
    either immutable, or mutable state the worker stops touching before
@@ -50,7 +39,7 @@ type worker_result = {
   wr_seconds : float;
   wr_summaries : int;
   wr_steals : int;
-  wr_export : export option; (* DYNSUM only *)
+  wr_export : Dynsum.snapshot option; (* DYNSUM with a caller tier only *)
 }
 
 (* DYNSUM is special-cased by registry name: the uniform [Engine.engine]
@@ -84,7 +73,7 @@ let rebase_outcome = function
    starts, so "every deque empty" is a stable termination condition —
    [Wsdeque.steal] returning [None] on a lost race just sends the thief
    back to rescan. *)
-let run_worker ~conf ~trace_writer ~engine_name ~pag ~base ~export ~deques ~self () =
+let run_worker ~conf ~trace_writer ~engine_name ~pag ~base ~deques ~self () =
   let trace = Option.map Trace.buffered_jsonl trace_writer in
   let eng, dyn = build_engine ~conf ~trace engine_name pag in
   (match dyn, base with Some d, Some b -> Dynsum.set_base d b | _ -> ());
@@ -143,7 +132,8 @@ let run_worker ~conf ~trace_writer ~engine_name ~pag ~base ~export ~deques ~self
     wr_summaries =
       (match dyn with Some d -> Dynsum.new_summary_count d | None -> eng.Engine.summary_count ());
     wr_steals = !steals;
-    wr_export = Option.map export dyn;
+    (* the worker snapshots, so several domains build theirs in parallel *)
+    wr_export = (match dyn, base with Some d, Some _ -> Some (Dynsum.snapshot d) | _ -> None);
   }
 
 let run ?(conf = Conf.default) ?trace_writer ?(jobs = 1) ?base ~engine:engine_name pag queries =
@@ -170,18 +160,6 @@ let run ?(conf = Conf.default) ?trace_writer ?(jobs = 1) ?base ~engine:engine_na
      workers read it by reference and the main domain grows it after
      they join. *)
   let base = if engine_name = "dynsum" then base else None in
-  (* the worker builds its export, so several domains build theirs in
-     parallel *)
-  let export d =
-    if Option.is_some base then Snapshot (Dynsum.snapshot d)
-    else if jobs > 1 then Keys (Dynsum.new_summary_keys d)
-    else Nothing
-  in
-  (* [unique] counts fresh tier insertions and one engine's own
-     summaries; [seen] holds the distinct keys several domains derived
-     without a tier. *)
-  let produced = ref 0 and unique = ref 0 in
-  let seen = Hashtbl.create 64 in
   let results, wall_seconds =
     Stats.time (fun () ->
         (* split the batch into [jobs] contiguous blocks in arrival
@@ -204,7 +182,7 @@ let run ?(conf = Conf.default) ?trace_writer ?(jobs = 1) ?base ~engine:engine_na
             shares
         in
         let work d =
-          run_worker ~conf ~trace_writer ~engine_name ~pag ~base ~export ~deques ~self:d
+          run_worker ~conf ~trace_writer ~engine_name ~pag ~base ~deques ~self:d
         in
         let results =
           if jobs = 1 then [| work 0 () |]
@@ -219,14 +197,9 @@ let run ?(conf = Conf.default) ?trace_writer ?(jobs = 1) ?base ~engine:engine_na
                 actual_steps.(i) <- steps)
               wr.wr_outcomes;
             Stats.merge_into ~into:agg_stats wr.wr_stats;
-            match wr.wr_export with
-            | None -> ()
-            | Some ex -> (
-              produced := !produced + wr.wr_summaries;
-              match ex with
-              | Snapshot s -> Option.iter (fun b -> unique := !unique + Dynsum.base_add b s) base
-              | Keys ks -> List.iter (fun k -> Hashtbl.replace seen k ()) ks
-              | Nothing -> unique := !unique + wr.wr_summaries))
+            match wr.wr_export, base with
+            | Some s, Some b -> ignore (Dynsum.base_add b s)
+            | _ -> ())
           results;
         results)
   in
@@ -252,6 +225,8 @@ let run ?(conf = Conf.default) ?trace_writer ?(jobs = 1) ?base ~engine:engine_na
     jobs;
     steals;
     actual_steps;
-    merged_summaries = !produced;
-    unique_summaries = !unique + Hashtbl.length seen;
+    merged_summaries =
+      (if engine_name = "dynsum" then
+         Array.fold_left (fun acc wr -> acc + wr.wr_summaries) 0 results
+       else 0);
   }

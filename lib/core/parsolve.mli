@@ -32,9 +32,7 @@
     {b Export on demand.} Snapshotting and sorting only pays off if
     something reads the result, so workers snapshot what they derived
     only when the caller passed a tier. Without one, nothing of the run
-    outlives the call: several domains hand back only their summary
-    keys, for {!field-unique_summaries}, and one domain — the whole of a
-    one-shot check — hands back nothing.
+    outlives the call: the workers hand back no summaries at all.
 
     Hash-consed stacks never cross domains raw: snapshots carry symbol
     lists, and worker outcomes are {!Pts_util.Hstack.rebase}d into the
@@ -72,13 +70,7 @@ type result = {
   actual_steps : int array;  (** kernel steps each query actually charged, input order *)
   merged_summaries : int;
       (** total DYNSUM summaries {e derived} across all domains (0 for
-          other engines); minus {!field-unique_summaries} this is the
-          cross-domain recomputation *)
-  unique_summaries : int;
-      (** distinct summary keys derived by the run: the entries newly
-          added to the caller's tier, or without one, the distinct keys
-          the domains derived. With a bounded [?base], a summary evicted
-          and derived again counts again *)
+          other engines); two domains may derive the same key *)
 }
 
 val run :

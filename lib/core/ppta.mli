@@ -23,30 +23,23 @@ type state = Kernel.state = S1 | S2
 val state_to_int : state -> int
 val pp_state : Format.formatter -> state -> unit
 
-type summary = {
+type summary = Kernel.summary = {
   objs : int list; (** allocation sites, deduplicated *)
   tuples : (int * Pts_util.Hstack.t * state) list; (** frontier states *)
+  fp : Footprint.t;
+      (** the derivation footprint: the distinct PAG nodes the run
+          visited. A cached summary stays valid across an edit burst iff
+          no footprint node got dirty ({!Footprint.stale}). *)
 }
 
 val compute :
-  Pag.t -> Conf.t -> Budget.t -> ?trace:(int -> Pts_util.Hstack.t -> state -> unit) ->
-  Pag.node -> Pts_util.Hstack.t -> state -> summary
-(** One PPTA run — {!Kernel.local_walk} under {!Kernel.exact_policy}.
-    Consumes budget per visited state; @raise Budget.Out_of_budget, in
-    which case the partial result must not be cached. [trace] observes each newly visited state (used by the Table 1
-    walkthrough). *)
+  Pag.t -> Conf.t -> Budget.t -> Pag.node -> Pts_util.Hstack.t -> state -> summary
+(** One PPTA run — {!Kernel.local_summary}: {!Kernel.local_walk} under
+    {!Kernel.exact_policy}, with the footprint read off the walk's visited
+    set. Consumes budget per visited state; @raise Budget.Out_of_budget,
+    in which case the partial result must not be cached. *)
 
-val compute_with_footprint :
-  Pag.t -> Conf.t -> Budget.t -> Pag.node -> Pts_util.Hstack.t -> state -> summary * int list
-(** {!compute}, plus the run's derivation footprint: the distinct PAG
-    nodes it visited, ascending. A cached summary stays valid across an
-    edit burst iff no footprint node got dirty. *)
-
-val stale : Pag.node list -> int list -> bool
-(** [stale dirty fp]: the one invalidation cut every summary store
-    applies after an edit burst with dirty nodes [dirty]. A summary
-    whose footprint [fp] meets the dirty set, or is empty (no recorded
-    derivation), is dropped; any other provably still describes the
-    edited graph, because the local walk only reads adjacency at nodes
-    it visits and a burst dirties both endpoints of every changed edge.
-    Apply it partially, once per burst. *)
+val frontier_only : Pag.node -> Pts_util.Hstack.t -> state -> summary
+(** The summary of a node without local edges, which needs no PPTA run
+    (Algorithm 4's fast path): its only continuation is itself as a
+    frontier tuple. Its footprint is empty; callers do not cache it. *)

@@ -10,7 +10,6 @@ type t = {
   stats : Stats.t;
   sink : Trace.sink;
   cache : Ppta.summary Tbl.t;
-  footprints : int list Tbl.t; (* key -> PAG nodes its derivation visited *)
   mutable truncated : bool;
 }
 
@@ -62,9 +61,8 @@ let offline t max_summaries =
     let u, f, s = Queue.pop queue in
     if Tbl.length t.cache >= max_summaries then t.truncated <- true
     else begin
-      let summary, fp = Ppta.compute_with_footprint t.pag t.conf t.offline_budget u f s in
+      let summary = Ppta.compute t.pag t.conf t.offline_budget u f s in
       Tbl.replace t.cache (key u f s) summary;
-      Tbl.replace t.footprints (key u f s) fp;
       List.iter (iter_successors pag visit) summary.Ppta.tuples
     end
   done
@@ -80,7 +78,6 @@ let create ?(conf = Conf.default) ?(trace = Trace.null) ?(max_summaries = 300_00
       stats;
       sink = Trace.tee (Trace.counting stats) trace;
       cache = Tbl.create 4096;
-      footprints = Tbl.create 4096;
       truncated = false;
     }
   in
@@ -89,7 +86,7 @@ let create ?(conf = Conf.default) ?(trace = Trace.null) ?(max_summaries = 300_00
 
 (* Online: Algorithm 4's worklist over the precomputed cache. *)
 let summarise t u f s =
-  if not (Pag.has_local_edges t.pag u) then { Ppta.objs = []; tuples = [ (u, f, s) ] }
+  if not (Pag.has_local_edges t.pag u) then Ppta.frontier_only u f s
   else
     match Tbl.find_opt t.cache (key u f s) with
     | Some summary ->
@@ -97,26 +94,17 @@ let summarise t u f s =
       summary
     | None ->
       Trace.emit t.sink (Trace.Summary_miss { engine = name; node = u });
-      let summary, fp = Ppta.compute_with_footprint t.pag t.conf t.budget u f s in
+      let summary = Ppta.compute t.pag t.conf t.budget u f s in
       Tbl.replace t.cache (key u f s) summary;
-      Tbl.replace t.footprints (key u f s) fp;
       summary
 
-(* The {!Ppta.stale} cut; dropped offline entries are recovered lazily
-   by the online backfill above. *)
+(* The {!Footprint.stale} cut, on each summary's own footprint; dropped
+   offline entries are recovered lazily by the online backfill above. *)
 let invalidate t dirty =
-  let stale = Ppta.stale dirty in
+  let stale = Footprint.stale dirty in
   let doomed = ref [] in
-  Tbl.iter
-    (fun key _ ->
-      if stale (Option.value ~default:[] (Tbl.find_opt t.footprints key)) then
-        doomed := key :: !doomed)
-    t.cache;
-  List.iter
-    (fun key ->
-      Tbl.remove t.cache key;
-      Tbl.remove t.footprints key)
-    !doomed;
+  Tbl.iter (fun key summary -> if stale summary.Ppta.fp then doomed := key :: !doomed) t.cache;
+  List.iter (Tbl.remove t.cache) !doomed;
   (List.length !doomed, Tbl.length t.cache)
 
 let expand t u f s =

@@ -37,9 +37,10 @@ val truncated : t -> bool
 
 val invalidate : t -> Pag.node list -> int * int
 (** Drop the offline/backfilled summaries whose derivation footprint
-    meets an edit burst's dirty nodes (the {!Ppta.stale} cut);
-    dropped keys are recomputed lazily by the online phase on next use.
-    Returns [(dropped, retained)]. *)
+    (each summary's own {!Ppta.summary} [fp]) meets an edit burst's dirty
+    nodes (the {!Footprint.stale} cut); dropped keys are recomputed
+    lazily by the online phase on next use. Returns
+    [(dropped, retained)]. *)
 
 val budget : t -> Budget.t
 

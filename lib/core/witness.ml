@@ -53,7 +53,7 @@ let explain ?(conf = Conf.default) pag v ~site =
   let budget = Budget.create ~limit:conf.Conf.budget_limit in
   let cache = Hashtbl.create 256 in
   let summarise u f s =
-    if not (Pag.has_local_edges pag u) then { Ppta.objs = []; tuples = [ (u, f, s) ] }
+    if not (Pag.has_local_edges pag u) then Ppta.frontier_only u f s
     else begin
       let k = (u, Hstack.id f, Ppta.state_to_int s) in
       match Hashtbl.find_opt cache k with
@@ -103,7 +103,7 @@ let explain ?(conf = Conf.default) pag v ~site =
 let validate ?(conf = Conf.default) pag ~query ~site steps =
   let budget = Budget.create ~limit:conf.Conf.budget_limit in
   let summarise u f s =
-    if not (Pag.has_local_edges pag u) then { Ppta.objs = []; tuples = [ (u, f, s) ] }
+    if not (Pag.has_local_edges pag u) then Ppta.frontier_only u f s
     else Ppta.compute pag conf budget u f s
   in
   let rec walk = function

@@ -88,3 +88,6 @@ let iter f t =
     let i = t.log.(k) in
     f t.fst.(i) t.snd.(i)
   done
+
+let nth_fst t k = t.fst.(t.log.(k))
+let nth_snd t k = t.snd.(t.log.(k))

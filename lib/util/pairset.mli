@@ -24,3 +24,9 @@ val clear : t -> unit
 
 val iter : (int -> int -> unit) -> t -> unit
 (** In insertion order. *)
+
+val nth_fst : t -> int -> int
+val nth_snd : t -> int -> int
+(** [nth_fst t k] and [nth_snd t k] are the components of the [k]-th
+    pair in insertion order, [0 <= k < length t]: {!iter} without a
+    closure. *)

@@ -332,6 +332,97 @@ let test_ppta_context_independence () =
   check Alcotest.int "same objs" (List.length a.Ppta.objs) (List.length b.Ppta.objs);
   check Alcotest.int "same tuples" (List.length a.Ppta.tuples) (List.length b.Ppta.tuples)
 
+(* ---------------------------- footprints ---------------------------- *)
+
+(* Node sets whose span (highest minus lowest id) sits at the one-word
+   boundary — 62, 63 and 64 ids — or reaches a few mask words, as the
+   widest PPTA footprints do (475 ids on the paper's batches); the lowest
+   and highest ids are always members, so the span is exact. *)
+let node_set_gen =
+  let open QCheck.Gen in
+  let* lo = int_range 0 3000 in
+  let* span =
+    oneof [ int_range 60 66; int_range 120 130; int_range 185 192; int_range 0 520; return 0 ]
+  in
+  let* inner = list_size (int_range 0 24) (int_range lo (lo + span)) in
+  let+ order = shuffle_l ((lo + span) :: lo :: inner) in
+  order
+
+let node_set_arb =
+  QCheck.make ~print:QCheck.Print.(list int) QCheck.Gen.(frequency [ (1, return []); (20, node_set_gen) ])
+
+let sorted_nodes l = List.sort_uniq Int.compare l
+
+let test_footprint_round_trip =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"footprint nodes round-trip to sort_uniq" ~count:500 node_set_arb
+       (fun l -> Footprint.nodes (Footprint.of_nodes l) = sorted_nodes l))
+
+(* Dirty ids around and inside the footprint's span, past its highest
+   node, negative ones (ignored), sometimes none at all, and sometimes
+   exactly one footprint node, which only that node's bit can catch. *)
+let stale_arb =
+  let open QCheck.Gen in
+  let gen =
+    let* nodes = frequency [ (1, return []); (20, node_set_gen) ] in
+    let lo, hi =
+      match sorted_nodes nodes with [] -> (0, 64) | l -> (List.hd l, List.nth l (List.length l - 1))
+    in
+    let near = int_range (max 0 (lo - 70)) (hi + 200) in
+    let scattered =
+      list_size (int_range 0 6)
+        (frequency [ (6, near); (1, int_range (-5) (-1)); (1, int_range (hi + 1) (hi + 140)) ])
+    in
+    let+ dirty =
+      match nodes with
+      | [] -> scattered
+      | _ -> frequency [ (2, scattered); (1, map (fun v -> [ v ]) (oneofl nodes)) ]
+    in
+    (nodes, dirty)
+  in
+  QCheck.make ~print:QCheck.Print.(pair (list int) (list int)) gen
+
+let test_footprint_stale_model =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"Footprint.stale equals the list model" ~count:1000 stale_arb
+       (fun (nodes, dirty) ->
+         let model = nodes = [] || List.exists (fun v -> List.mem v dirty) nodes in
+         Footprint.stale dirty (Footprint.of_nodes nodes) = model))
+
+(* [of_pairs] reads the nodes of one tag's pairs out of the low bits. *)
+let test_footprint_of_pairs =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"footprint of a visited set" ~count:300
+       QCheck.(pair node_set_arb (list (pair (int_bound 3) small_nat)))
+       (fun (nodes, noise) ->
+         let mask = (1 lsl 12) - 1 in
+         let s = Pts_util.Pairset.create 4 in
+         List.iteri (fun i v -> ignore (Pts_util.Pairset.add s (v lor ((i mod 5) lsl 12)) 0)) nodes;
+         List.iter (fun (tag, a) -> if tag > 0 then ignore (Pts_util.Pairset.add s a tag)) noise;
+         Footprint.nodes (Footprint.of_pairs s ~snd:0 ~mask) = sorted_nodes nodes))
+
+let test_footprint_empty () =
+  check (Alcotest.list Alcotest.int) "empty has no nodes" [] (Footprint.nodes Footprint.empty);
+  check Alcotest.bool "empty is always stale" true (Footprint.stale [] Footprint.empty);
+  check Alcotest.bool "a footprint meets no empty dirty set" false
+    (Footprint.stale [] (Footprint.of_nodes [ 5 ]));
+  match Footprint.of_nodes [ 3; -1 ] with
+  | _ -> Alcotest.fail "negative node accepted"
+  | exception Invalid_argument _ -> ()
+
+(* The PPTA's own footprint is the distinct nodes its walk visited: the
+   root always, and on Figure 2's ret_get no node outside its method. *)
+let test_ppta_footprint () =
+  let pl = pipeline Pts_workload.Figure2.source in
+  let pag = pl.Pts_clients.Pipeline.pag in
+  let s1 = Pts_workload.Figure2.s1 pl in
+  let summary = Ppta.compute pag Conf.default (Budget.unlimited ()) s1 Hstack.empty Ppta.S1 in
+  let nodes = Footprint.nodes summary.Ppta.fp in
+  check Alcotest.bool "root in footprint" true (List.mem s1 nodes);
+  check Alcotest.bool "frontier nodes in footprint" true
+    (List.for_all (fun (n, _, _) -> List.mem n nodes) summary.Ppta.tuples);
+  check Alcotest.bool "stale when the root is dirty" true (Footprint.stale [ s1 ] summary.Ppta.fp)
+
 (* ------------------------------ DYNSUM ------------------------------ *)
 
 let test_dynsum_cache_reuse () =
@@ -655,6 +746,14 @@ let () =
         [
           Alcotest.test_case "figure2 ret_get summary" `Quick test_ppta_figure2_retget;
           Alcotest.test_case "context independence" `Quick test_ppta_context_independence;
+          Alcotest.test_case "footprint of a walk" `Quick test_ppta_footprint;
+        ] );
+      ( "footprint",
+        [
+          test_footprint_round_trip;
+          test_footprint_stale_model;
+          test_footprint_of_pairs;
+          Alcotest.test_case "empty and invalid" `Quick test_footprint_empty;
         ] );
       ( "dynsum",
         [

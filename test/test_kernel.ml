@@ -152,6 +152,63 @@ let check_graph graph pl =
     Alcotest.failf "%d golden rows drifted; actual:\n%s" (List.length drifted)
       (String.concat "\n" drifted)
 
+(* The jack SafeCast tier exactly as [ptsto client --bench jack -c
+   safecast --cache F] saves it (default budget, one domain). The file
+   spells out every summary's footprint as its node list, so a change to
+   what a footprint holds, or to how the tier is written, fails here. *)
+let tier_md5 = "dbe2ac9a5577d838981adfb99cfaf26d"
+
+let test_tier_bytes () =
+  let pl = Suite.pipeline "jack" in
+  let pag = pl.Pipeline.pag in
+  let tier = Dynsum.base_create () in
+  let queries =
+    List.map
+      (fun q -> Parsolve.query ~satisfy:q.Client.q_pred q.Client.q_node)
+      (Pts_clients.Safecast.queries pl)
+  in
+  ignore (Parsolve.run ~base:tier ~engine:"dynsum" pag (Array.of_list queries));
+  let path = Filename.temp_file "ptsto_tier" ".bin" in
+  let bytes =
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () ->
+        Dynsum.save_base tier pag path;
+        In_channel.with_open_bin path In_channel.input_all)
+  in
+  check Alcotest.string "saved tier MD5" tier_md5 (Digest.to_hex (Digest.string bytes))
+
+(* Allocation per step. Minor words are deterministic for a build, so
+   this pins the summary path's cost where wall time cannot: a fresh
+   DYNSUM engine on this domain answers jack's three batches, and the
+   minor words it allocates, divided by the steps it charges, must stay
+   under [max_words_per_step]. A first, unmeasured engine runs the same
+   batches so the domain's hash-cons store already holds every stack,
+   whichever tests ran before. *)
+let max_words_per_step = 11.0
+
+let dynsum_words_per_step () =
+  let pl = Suite.pipeline "jack" in
+  let batches = List.map (fun (_, queries_of) -> queries_of pl) clients in
+  let answer_all e =
+    List.iter
+      (List.iter (fun q -> ignore (e.Engine.points_to ~satisfy:q.Client.q_pred q.Client.q_node)))
+      batches
+  in
+  answer_all (Engine.create "dynsum" pl.Pipeline.pag);
+  let e = Engine.create "dynsum" pl.Pipeline.pag in
+  let w0 = Gc.minor_words () in
+  answer_all e;
+  let words = Gc.minor_words () -. w0 in
+  words /. float_of_int (Budget.total_steps e.Engine.budget)
+
+let test_dynsum_allocation () =
+  let wps = dynsum_words_per_step () in
+  Printf.printf "dynsum minor words per step on jack: %.2f\n" wps;
+  if wps > max_words_per_step then
+    Alcotest.failf "dynsum allocates %.2f minor words per step on jack (bound %.1f)" wps
+      max_words_per_step
+
 let test_overlay_has_both () =
   let added, deleted = Pag.delta_counts (edited_jack ()).Pipeline.pag in
   Alcotest.(check bool) "overlay inserts" true (added > 0);
@@ -242,6 +299,8 @@ let () =
           Alcotest.test_case "jack" `Quick (fun () -> check_graph "jack" (Suite.pipeline "jack"));
           Alcotest.test_case "edited jack" `Quick (fun () ->
               check_graph "jack+edits" (edited_jack ()));
+          Alcotest.test_case "jack safecast tier bytes" `Quick test_tier_bytes;
+          Alcotest.test_case "dynsum minor words per step" `Quick test_dynsum_allocation;
         ] );
       ( "keys",
         [

@@ -63,8 +63,8 @@ let test_steal_accounting () =
     List.fold_left (fun acc d -> acc + d.Parsolve.dr_queries) 0 r.Parsolve.reports
   in
   Alcotest.(check int) "every query answered exactly once" n report_queries;
-  Alcotest.(check bool) "unique summaries bounded by derivations" true
-    (r.Parsolve.unique_summaries <= r.Parsolve.merged_summaries)
+  Alcotest.(check int) "per-domain summaries sum to the derivations" r.Parsolve.merged_summaries
+    (List.fold_left (fun acc d -> acc + d.Parsolve.dr_summaries) 0 r.Parsolve.reports)
 
 (* One domain pops its deque in arrival order, so every query charges
    exactly the steps it charges in a sequential loop over the batch: a
@@ -142,7 +142,8 @@ let tier_of engines =
   tier
 
 (* Every (jobs, tier) cell must agree with one sequential DYNSUM engine:
-   same outcomes and as many distinct summaries. A caller-owned tier
+   same outcomes, and at least its summaries derived (exactly them on one
+   domain; several domains may derive a key twice). A caller-owned tier
    receives every worker's snapshot, so it must end up holding exactly
    the sequential engine's summaries, and save to its bytes. *)
 let sequential =
@@ -165,14 +166,16 @@ let test_export_cell ~jobs ~caller_tier () =
   let tier = if caller_tier then Some (Dynsum.base_create ~capacity:0 ()) else None in
   let r = Parsolve.run ~conf ~jobs ?base:tier ~engine:"dynsum" pl.Pipeline.pag (qarr ()) in
   check_outcomes expected r;
-  Alcotest.(check bool) "summaries were derived" true (r.Parsolve.merged_summaries > 0);
-  Alcotest.(check int) "unique = sequential summaries" seq_summaries r.Parsolve.unique_summaries;
-  Alcotest.(check bool) "unique <= merged" true
-    (r.Parsolve.unique_summaries <= r.Parsolve.merged_summaries);
+  if jobs = 1 then
+    Alcotest.(check int) "one domain derives the sequential summaries" seq_summaries
+      r.Parsolve.merged_summaries
+  else
+    Alcotest.(check bool) "domains derive at least the sequential summaries" true
+      (r.Parsolve.merged_summaries >= seq_summaries);
   match tier with
   | None -> ()
   | Some b ->
-    Alcotest.(check int) "caller tier grew by unique" r.Parsolve.unique_summaries
+    Alcotest.(check int) "caller tier holds the sequential summaries" seq_summaries
       (Dynsum.base_length b);
     Alcotest.(check bool) "tier bytes = sequential saved bytes" true
       (String.equal seq_bytes (save_bytes b))
